@@ -21,7 +21,7 @@ test-noasm:
 	ANNA_NOSIMD=1 $(GO) test ./internal/simd/ ./internal/vecmath/ ./internal/pq/ ./internal/ivf/ ./internal/engine/
 
 race:
-	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/cluster/... ./internal/tsdb/ ./internal/slo/ .
+	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/cluster/... ./internal/front/ ./internal/tsdb/ ./internal/slo/ .
 
 # Mirrors .github/workflows/ci.yml exactly (same commands, same package
 # lists) so a green `make ci` means a green CI run. Keep in sync.
@@ -55,11 +55,12 @@ fmt-check:
 # The CI race job: engine worker pool, fused scan path, parallel
 # build/ingest pipeline (kmeans, pq batch encoder, ivf build), metrics
 # instruments, trace ring, WAL, QoS layer (dynamic batcher, result
-# cache, token buckets), HTTP serving layer (incl. the shadow recall
-# sampler and the concurrent /search + /add cache-invalidation test).
+# cache, token buckets), the shared HTTP front, HTTP serving layer
+# (incl. the shadow recall sampler and the concurrent /search + /add
+# cache-invalidation test).
 .PHONY: ci-race
 ci-race:
-	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/cluster/... ./internal/tsdb/... ./internal/slo/... .
+	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/cluster/... ./internal/front/... ./internal/tsdb/... ./internal/slo/... .
 
 # The CI cluster-integration job: the multi-process fault-injection
 # harness (shard processes SIGKILLed mid-load) plus the router's

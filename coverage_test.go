@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"anna/internal/dataset"
+	"anna/internal/front"
 	"anna/internal/vecmath"
 )
 
@@ -149,7 +150,7 @@ func TestServerAddErrors(t *testing.T) {
 		t.Errorf("malformed add: %d", resp.StatusCode)
 	}
 	// Wrong dimension.
-	resp = postJSON(t, ts.URL+"/add", addRequest{Vectors: [][]float32{{1, 2}}})
+	resp = postJSON(t, ts.URL+"/add", front.AddRequest{Vectors: [][]float32{{1, 2}}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad-dim add: %d", resp.StatusCode)

@@ -1,6 +1,7 @@
 package anna
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -391,24 +392,16 @@ func encodeAddRecord(firstID int64, vectors [][]float32) []byte {
 	}
 	b := make([]byte, 0, 17+4*len(vectors)*dim)
 	b = append(b, addRecordKind)
-	b = binary64(b, uint64(firstID))
-	b = binary32(b, uint32(len(vectors)))
-	b = binary32(b, uint32(dim))
+	le := binary.LittleEndian
+	b = le.AppendUint64(b, uint64(firstID))
+	b = le.AppendUint32(b, uint32(len(vectors)))
+	b = le.AppendUint32(b, uint32(dim))
 	for _, v := range vectors {
 		for _, f := range v {
-			b = binary32(b, math.Float32bits(f))
+			b = le.AppendUint32(b, math.Float32bits(f))
 		}
 	}
 	return b
-}
-
-func binary32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
-func binary64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
 }
 
 func decodeAddRecord(b []byte) (firstID int64, vectors [][]float32, err error) {
@@ -418,9 +411,10 @@ func decodeAddRecord(b []byte) (firstID int64, vectors [][]float32, err error) {
 	if b[0] != addRecordKind {
 		return 0, nil, fmt.Errorf("%w: unknown record kind %d", errBadRecord, b[0])
 	}
-	firstID = int64(leU64(b[1:9]))
-	count := leU32(b[9:13])
-	dim := leU32(b[13:17])
+	le := binary.LittleEndian
+	firstID = int64(le.Uint64(b[1:9]))
+	count := le.Uint32(b[9:13])
+	dim := le.Uint32(b[13:17])
 	if firstID < 0 || count == 0 || dim == 0 || dim > 1<<16 {
 		return 0, nil, fmt.Errorf("%w: firstID=%d count=%d dim=%d", errBadRecord, firstID, count, dim)
 	}
@@ -432,7 +426,7 @@ func decodeAddRecord(b []byte) (firstID int64, vectors [][]float32, err error) {
 	for i := range vectors {
 		row := make([]float32, dim)
 		for j := range row {
-			f := math.Float32frombits(leU32(b[off : off+4]))
+			f := math.Float32frombits(le.Uint32(b[off : off+4]))
 			if f64 := float64(f); math.IsNaN(f64) || math.IsInf(f64, 0) {
 				return 0, nil, fmt.Errorf("%w: non-finite component %v in vector %d", errBadRecord, f, i)
 			}
@@ -442,12 +436,4 @@ func decodeAddRecord(b []byte) (firstID int64, vectors [][]float32, err error) {
 		vectors[i] = row
 	}
 	return firstID, vectors, nil
-}
-
-func leU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func leU64(b []byte) uint64 {
-	return uint64(leU32(b)) | uint64(leU32(b[4:]))<<32
 }

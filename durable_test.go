@@ -8,7 +8,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
+
+	"anna/internal/front"
 )
 
 // randVectors returns deterministic pseudo-random vectors.
@@ -124,8 +127,8 @@ func TestRecoveryAfterKillMidAdd(t *testing.T) {
 	var acked [][][]float32
 	for i := 0; i < 5; i++ {
 		batch := randVectors(int64(10+i), 8+i, 8)
-		var resp addResponse
-		r := postJSONInto(t, ts.URL+"/add", addRequest{Vectors: batch}, &resp)
+		var resp front.AddResponse
+		r := postJSONInto(t, ts.URL+"/add", front.AddRequest{Vectors: batch}, &resp)
 		if r.StatusCode != http.StatusOK {
 			t.Fatalf("add %d: status %d", i, r.StatusCode)
 		}
@@ -230,7 +233,7 @@ func TestAdminSnapshotTrimsWAL(t *testing.T) {
 	defer ts.Close()
 	defer st.Close()
 
-	postJSONInto(t, ts.URL+"/add", addRequest{Vectors: randVectors(4, 30, 8)}, nil)
+	postJSONInto(t, ts.URL+"/add", front.AddRequest{Vectors: randVectors(4, 30, 8)}, nil)
 	if st.WALRecords() != 1 {
 		t.Fatalf("WAL holds %d records before snapshot", st.WALRecords())
 	}
@@ -281,11 +284,11 @@ func TestAutoSnapshot(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	postJSONInto(t, ts.URL+"/add", addRequest{Vectors: randVectors(6, 30, 8)}, nil)
+	postJSONInto(t, ts.URL+"/add", front.AddRequest{Vectors: randVectors(6, 30, 8)}, nil)
 	if st.WALRecords() != 1 {
 		t.Fatalf("auto-snapshot fired below threshold (%d WAL records)", st.WALRecords())
 	}
-	postJSONInto(t, ts.URL+"/add", addRequest{Vectors: randVectors(7, 30, 8)}, nil)
+	postJSONInto(t, ts.URL+"/add", front.AddRequest{Vectors: randVectors(7, 30, 8)}, nil)
 	if st.WALRecords() != 0 {
 		t.Fatalf("auto-snapshot did not fire at threshold (%d WAL records)", st.WALRecords())
 	}
@@ -385,6 +388,23 @@ func TestAddRecordCodec(t *testing.T) {
 			}
 		}
 	}
+	// A round trip cannot catch a byte-order change made on both sides:
+	// pin the on-disk layout of a record as earlier releases wrote it.
+	golden := []byte{
+		0x01,                                           // kind: add batch
+		0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, // firstID
+		0x02, 0x00, 0x00, 0x00, // count
+		0x02, 0x00, 0x00, 0x00, // dim
+		0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x20, 0xc0, // 1, -2.5
+		0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0x40, 0x40, // 0.5, 3
+	}
+	goldenVecs := [][]float32{{1, -2.5}, {0.5, 3}}
+	if enc := encodeAddRecord(0x0102030405060708, goldenVecs); !bytes.Equal(enc, golden) {
+		t.Fatalf("encoded record % x, want % x", enc, golden)
+	}
+	if id, got, err := decodeAddRecord(golden); err != nil || id != 0x0102030405060708 || !reflect.DeepEqual(got, goldenVecs) {
+		t.Fatalf("golden decode: id=%#x vectors=%v err=%v", id, got, err)
+	}
 	bad := [][]byte{
 		{},
 		{2},
@@ -422,7 +442,7 @@ func TestDurabilityMetricsExported(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	postJSONInto(t, ts.URL+"/add", addRequest{Vectors: randVectors(13, 10, 8)}, nil)
+	postJSONInto(t, ts.URL+"/add", front.AddRequest{Vectors: randVectors(13, 10, 8)}, nil)
 	postJSONInto(t, ts.URL+"/admin/snapshot", struct{}{}, nil)
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {

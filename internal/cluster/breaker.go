@@ -13,7 +13,7 @@
 // codebooks, WAL and snapshot), the router holds no index state at
 // all, and the global vector ID space is striped — shard i owns IDs
 // [i*Stride, (i+1)*Stride), with the shard-local ID being the offset
-// into the stripe. Search results merge with the same pheap/topk k-way
+// into the stripe. Search results merge with the same topk k-way
 // machinery the engine uses for intra-query parallelism, so the merge
 // semantics (descending score, ascending ID on ties) are identical to
 // a single process serving the union of the shards.

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/front"
 	"anna/internal/qos"
 )
 
@@ -254,15 +255,15 @@ func fakeShardSet(t *testing.T, handlers []http.Handler, opt ShardOptions) *Rout
 }
 
 // staticSearchShard answers every query with a fixed local result list.
-func staticSearchShard(results []searchResult) http.Handler {
+func staticSearchShard(results []front.SearchResult) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/search" {
 			http.NotFound(w, r)
 			return
 		}
-		var req searchRequest
+		var req front.SearchRequest
 		json.NewDecoder(r.Body).Decode(&req)
-		out := searchResponse{Results: make([][]searchResult, len(req.Queries))}
+		out := front.SearchResponse{Results: make([][]front.SearchResult, len(req.Queries))}
 		k := req.K
 		if k > len(results) {
 			k = len(results)
@@ -274,12 +275,12 @@ func staticSearchShard(results []searchResult) http.Handler {
 	})
 }
 
-func postSearch(t *testing.T, h http.Handler, req searchRequest) (*httptest.ResponseRecorder, searchResponse) {
+func postSearch(t *testing.T, h http.Handler, req front.SearchRequest) (*httptest.ResponseRecorder, front.SearchResponse) {
 	t.Helper()
 	b, _ := json.Marshal(req)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(b)))
-	var resp searchResponse
+	var resp front.SearchResponse
 	if rec.Code == http.StatusOK {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("decoding response: %v", err)
@@ -290,13 +291,13 @@ func postSearch(t *testing.T, h http.Handler, req searchRequest) (*httptest.Resp
 
 func TestRouterMergesShardTopK(t *testing.T) {
 	rt := fakeShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}, {ID: 2, Score: 0.5}}),
-		staticSearchShard([]searchResult{{ID: 0, Score: 0.8}}),
-		staticSearchShard([]searchResult{{ID: 5, Score: 0.95}, {ID: 6, Score: 0.1}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}, {ID: 2, Score: 0.5}}),
+		staticSearchShard([]front.SearchResult{{ID: 0, Score: 0.8}}),
+		staticSearchShard([]front.SearchResult{{ID: 5, Score: 0.95}, {ID: 6, Score: 0.1}}),
 	}, fastOpts())
 	h := rt.Handler()
 
-	rec, resp := postSearch(t, h, searchRequest{Queries: [][]float32{{0}, {1}}, K: 4})
+	rec, resp := postSearch(t, h, front.SearchRequest{Queries: [][]float32{{0}, {1}}, K: 4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
@@ -304,7 +305,7 @@ func TestRouterMergesShardTopK(t *testing.T) {
 		t.Fatalf("full coverage marked partial: %q", rec.Header().Get(HeaderPartial))
 	}
 	S := DefaultStride
-	want := []searchResult{
+	want := []front.SearchResult{
 		{ID: 2*S + 5, Score: 0.95},
 		{ID: 0*S + 1, Score: 0.9},
 		{ID: 1*S + 0, Score: 0.8},
@@ -329,13 +330,13 @@ func TestRouterPartialCoverage(t *testing.T) {
 	opt := fastOpts()
 	opt.Retries = 1
 	rt := fakeShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
 		down,
-		staticSearchShard([]searchResult{{ID: 3, Score: 0.7}}),
+		staticSearchShard([]front.SearchResult{{ID: 3, Score: 0.7}}),
 	}, opt)
 	h := rt.Handler()
 
-	rec, resp := postSearch(t, h, searchRequest{Queries: [][]float32{{0}}, K: 5})
+	rec, resp := postSearch(t, h, front.SearchRequest{Queries: [][]float32{{0}}, K: 5})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded query failed: %d %s", rec.Code, rec.Body.String())
 	}
@@ -357,7 +358,7 @@ func TestRouterAllShardsDown(t *testing.T) {
 	opt := fastOpts()
 	opt.Retries = -1
 	rt := fakeShardSet(t, []http.Handler{down, down}, opt)
-	rec, _ := postSearch(t, rt.Handler(), searchRequest{Queries: [][]float32{{0}}})
+	rec, _ := postSearch(t, rt.Handler(), front.SearchRequest{Queries: [][]float32{{0}}})
 	if rec.Code != http.StatusBadGateway {
 		t.Fatalf("total loss answered %d, want 502", rec.Code)
 	}
@@ -370,7 +371,7 @@ func TestRouterRelaysShardValidation(t *testing.T) {
 		fmt.Fprint(w, `{"error":"query 0 has dim 1, index dim 8"}`)
 	})
 	rt := fakeShardSet(t, []http.Handler{badReq, badReq}, fastOpts())
-	rec, _ := postSearch(t, rt.Handler(), searchRequest{Queries: [][]float32{{0}}})
+	rec, _ := postSearch(t, rt.Handler(), front.SearchRequest{Queries: [][]float32{{0}}})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("shard 400 relayed as %d", rec.Code)
 	}
@@ -386,10 +387,10 @@ func addShard(next *atomic.Int64) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		var req addRequest
+		var req front.AddRequest
 		json.NewDecoder(r.Body).Decode(&req)
 		first := next.Add(int64(len(req.Vectors))) - int64(len(req.Vectors))
-		json.NewEncoder(w).Encode(addResponse{FirstID: first, Count: len(req.Vectors)})
+		json.NewEncoder(w).Encode(front.AddResponse{FirstID: first, Count: len(req.Vectors)})
 	})
 }
 
@@ -400,7 +401,7 @@ func TestRouterAddRoutesAndRewritesIDs(t *testing.T) {
 
 	seen := map[string]bool{}
 	for i := 0; i < 4; i++ {
-		body, _ := json.Marshal(addRequest{Vectors: [][]float32{{1, 2}}})
+		body, _ := json.Marshal(front.AddRequest{Vectors: [][]float32{{1, 2}}})
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
@@ -408,7 +409,7 @@ func TestRouterAddRoutesAndRewritesIDs(t *testing.T) {
 		}
 		shard := rec.Header().Get(HeaderShard)
 		seen[shard] = true
-		var ar addResponse
+		var ar front.AddResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
 			t.Fatal(err)
 		}
@@ -443,7 +444,7 @@ func TestRouterAddSkipsOpenBreaker(t *testing.T) {
 	// Every subsequent add must route around the open breaker and land.
 	okAfterOpen := 0
 	for i := 0; i < 6; i++ {
-		body, _ := json.Marshal(addRequest{Vectors: [][]float32{{1}}})
+		body, _ := json.Marshal(front.AddRequest{Vectors: [][]float32{{1}}})
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(body)))
 		if rt.shards[0].Breaker().State() == "open" && rec.Code == http.StatusOK {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"anna/internal/cluster/faultproxy"
+	"anna/internal/front"
 	"anna/internal/qos"
 )
 
@@ -36,15 +37,15 @@ func faultedShardSet(t *testing.T, handlers []http.Handler, opt ShardOptions) (*
 // coverage, no partial header, no client-visible error.
 func TestRouterRetriesAbsorbInjected5xx(t *testing.T) {
 	rt, proxies := faultedShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
-		staticSearchShard([]searchResult{{ID: 2, Score: 0.8}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 2, Score: 0.8}}),
 	}, fastOpts())
 	proxies[0].Script(
 		faultproxy.Fault{Mode: faultproxy.Err5xx},
 		faultproxy.Fault{Mode: faultproxy.Err5xx},
 	)
 
-	rec, resp := postSearch(t, rt.Handler(), searchRequest{Queries: [][]float32{{0}}, K: 4})
+	rec, resp := postSearch(t, rt.Handler(), front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d", rec.Code)
 	}
@@ -63,12 +64,12 @@ func TestRouterRetriesAbsorbInjected5xx(t *testing.T) {
 // a half-decoded result; the retry gets the full answer.
 func TestRouterRetriesRecoverFromTruncation(t *testing.T) {
 	rt, proxies := faultedShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
-		staticSearchShard([]searchResult{{ID: 2, Score: 0.8}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 2, Score: 0.8}}),
 	}, fastOpts())
 	proxies[1].Script(faultproxy.Fault{Mode: faultproxy.Truncate, TruncateAt: 3})
 
-	rec, resp := postSearch(t, rt.Handler(), searchRequest{Queries: [][]float32{{0}}, K: 4})
+	rec, resp := postSearch(t, rt.Handler(), front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 	if rec.Code != http.StatusOK || rec.Header().Get(HeaderPartial) != "" {
 		t.Fatalf("status=%d partial=%q", rec.Code, rec.Header().Get(HeaderPartial))
 	}
@@ -91,8 +92,8 @@ func TestRouterDegradesThroughTimeoutsToBreaker(t *testing.T) {
 		BreakerCooldown:  time.Hour,
 	}
 	rt, proxies := faultedShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
-		staticSearchShard([]searchResult{{ID: 2, Score: 0.8}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 2, Score: 0.8}}),
 	}, opt)
 	// Shard 1 stops answering entirely.
 	for i := 0; i < 50; i++ {
@@ -102,7 +103,7 @@ func TestRouterDegradesThroughTimeoutsToBreaker(t *testing.T) {
 	h := rt.Handler()
 	var partials int
 	for i := 0; i < 4; i++ {
-		rec, resp := postSearch(t, h, searchRequest{Queries: [][]float32{{0}}, K: 4})
+		rec, resp := postSearch(t, h, front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("query %d failed with %d — degradation must not 5xx", i, rec.Code)
 		}
@@ -122,7 +123,7 @@ func TestRouterDegradesThroughTimeoutsToBreaker(t *testing.T) {
 	// With the breaker open, queries stop paying the 100ms timeout for
 	// the dead shard: the next query fast-fails it locally.
 	start := time.Now()
-	rec, _ := postSearch(t, h, searchRequest{Queries: [][]float32{{0}}, K: 4})
+	rec, _ := postSearch(t, h, front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("post-breaker query: %d", rec.Code)
 	}
@@ -142,12 +143,12 @@ func TestRouterHedgeFiresOnInjectedDelay(t *testing.T) {
 	opt.HedgeAfter = 30 * time.Millisecond
 	opt.HedgeMax = 40 * time.Millisecond
 	rt, proxies := faultedShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
 	}, opt)
 	proxies[0].Script(faultproxy.Fault{Mode: faultproxy.Delay, Latency: 2 * time.Second})
 
 	start := time.Now()
-	rec, _ := postSearch(t, rt.Handler(), searchRequest{Queries: [][]float32{{0}}, K: 1})
+	rec, _ := postSearch(t, rt.Handler(), front.SearchRequest{Queries: [][]float32{{0}}, K: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d", rec.Code)
 	}

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"anna"
+	"anna/internal/front"
 	"anna/internal/qos"
 	"anna/internal/topk"
 )
@@ -276,7 +277,7 @@ func TestClusterSurvivesShardKill(t *testing.T) {
 				return
 			default:
 			}
-			rec, _ := postSearch(t, h, searchRequest{Queries: queries[:1], W: 8, K: 5})
+			rec, _ := postSearch(t, h, front.SearchRequest{Queries: queries[:1], W: 8, K: 5})
 			searches.Add(1)
 			if rec.Code != http.StatusOK {
 				searchBad.Add(1)
@@ -298,7 +299,7 @@ func TestClusterSurvivesShardKill(t *testing.T) {
 	postAdd := func(seq int) {
 		t.Helper()
 		vectors := ivecs(1000+int64(seq), batchSize, dim)
-		body, _ := json.Marshal(addRequest{Vectors: vectors})
+		body, _ := json.Marshal(front.AddRequest{Vectors: vectors})
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/add", bytes.NewReader(body)))
 		shardHdr := rec.Header().Get(HeaderShard)
@@ -312,7 +313,7 @@ func TestClusterSurvivesShardKill(t *testing.T) {
 			}
 			return
 		}
-		var ar addResponse
+		var ar front.AddResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
 			t.Fatalf("add %d: decoding ack: %v", seq, err)
 		}
@@ -379,7 +380,7 @@ func TestClusterSurvivesShardKill(t *testing.T) {
 	procs[1].start(t, procs[1].addr)
 	recovered := false
 	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); {
-		rec, _ := postSearch(t, h, searchRequest{Queries: queries[:1], W: 8, K: 5})
+		rec, _ := postSearch(t, h, front.SearchRequest{Queries: queries[:1], W: 8, K: 5})
 		if rec.Code == http.StatusOK && rec.Header().Get(HeaderPartial) == "" {
 			recovered = true
 			break
@@ -427,7 +428,7 @@ func TestClusterSurvivesShardKill(t *testing.T) {
 	// Verification 2 — the cluster answers like one big index: router
 	// results must equal a single-process reference merge over the
 	// mirrors (same stripe arithmetic, same topk.Merge).
-	rec, resp := postSearch(t, h, searchRequest{Queries: queries, W: 8, K: 10})
+	rec, resp := postSearch(t, h, front.SearchRequest{Queries: queries, W: 8, K: 10})
 	if rec.Code != http.StatusOK || rec.Header().Get(HeaderPartial) != "" {
 		t.Fatalf("reference search: status=%d partial=%q", rec.Code, rec.Header().Get(HeaderPartial))
 	}

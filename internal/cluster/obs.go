@@ -5,98 +5,23 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"runtime"
 	"sort"
 	"strconv"
 	"sync"
 	"time"
-
-	"anna/internal/slo"
-	"anna/internal/tsdb"
 )
 
-// Router-side observability (docs/ARCHITECTURE.md §4k): the embedded
-// tsdb snapshots the routing counters, the SLO engine evaluates burn
-// rates over them, and /debug/trace/{id} stitches the router's cluster
-// trace together with the shard-side traces recorded under the same ID.
-
-// initObs builds the tsdb and SLO engine from cfg, mirroring the
-// annaserve wiring. A negative ScrapeEvery disables everything.
-func (rt *Router) initObs(cfg Config) {
-	if cfg.ScrapeEvery < 0 {
-		return
-	}
-	interval := cfg.ScrapeEvery
-	if interval == 0 {
-		interval = 10 * time.Second
-	}
-	opt := cfg.SLOOptions
-	if opt.Logger == nil {
-		opt.Logger = rt.logger
-	}
-	slowLong := opt.SlowLong
-	if slowLong <= 0 {
-		slowLong = 6 * time.Hour
-	}
-	capacity := int(slowLong/interval) + 8
-	if capacity < 256 {
-		capacity = 256
-	}
-	if capacity > 4096 {
-		capacity = 4096
-	}
-
-	searchHist := rt.duration["search"]
-	series := []tsdb.Series{
-		{Name: "requests", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(rt.resps.Load()) }},
-		{Name: "errors_5xx", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(rt.resps5xx.Load()) }},
-		{Name: "partials", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(rt.partials.Value()) }},
-		{Name: "latency_p99_ms", Kind: tsdb.GaugeKind, Sample: func() float64 { return searchHist.Quantile(0.99) * 1000 }},
-		{Name: "goroutines", Kind: tsdb.GaugeKind, Sample: func() float64 { return float64(runtime.NumGoroutine()) }},
-	}
-	var slos []slo.SLO
-	if cfg.SLOLatencyP99 > 0 {
-		// Windowed, bucket-derived counters — not the cumulative p99 —
-		// so the alert clears once the slowness stops (see the annaserve
-		// twin of this wiring for the full rationale).
-		bound := searchHist.NearestBound(cfg.SLOLatencyP99.Seconds())
-		series = append(series,
-			tsdb.Series{Name: "latency_slow", Kind: tsdb.CounterKind,
-				Sample: func() float64 { return float64(searchHist.Count() - searchHist.CountLE(bound)) }},
-			tsdb.Series{Name: "latency_total", Kind: tsdb.CounterKind,
-				Sample: func() float64 { return float64(searchHist.Count()) }},
-		)
-		slos = append(slos, slo.SLO{Name: "latency_p99", Objective: 0.99})
-	}
-	if cfg.SLOAvailability > 0 {
-		slos = append(slos, slo.SLO{Name: "availability", Objective: cfg.SLOAvailability})
-	}
-	db := tsdb.New(capacity, series...)
-	for i := range slos {
-		switch slos[i].Name {
-		case "latency_p99":
-			slos[i].BadRatio = slo.BadShare(db, "latency_total", slo.Part{Series: "latency_slow", Weight: 1})
-		case "availability":
-			// Partial-coverage-aware: a degraded answer (some shards
-			// missing) costs half an error against the budget.
-			slos[i].BadRatio = slo.BadShare(db, "requests",
-				slo.Part{Series: "errors_5xx", Weight: 1},
-				slo.Part{Series: "partials", Weight: 0.5})
-		}
-	}
-	eng := slo.New(opt, slos...)
-	eng.Register(rt.reg)
-	db.OnScrape(eng.EvaluateAt)
-	db.Start(interval)
-	rt.db, rt.eng = db, eng
-}
+// Router-side debug views (docs/ARCHITECTURE.md §4k): /debug/queries
+// adds a per-shard breakdown to each trace, and /debug/trace/{id}
+// stitches the router's cluster trace together with the shard-side
+// traces recorded under the same ID.
 
 // handleDebugQueries serves the router's recent traces, slowest first,
 // each with a per-shard time breakdown computed from its hops. ?n=
 // bounds the response.
 func (rt *Router) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		rt.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	traces := rt.rec.Snapshot()
@@ -120,8 +45,7 @@ func (rt *Router) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		out[i] = e
 	}
 	total, slow := rt.rec.Recorded()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	rt.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"recorded_total": total,
 		"slow_total":     slow,
 		"count":          len(out),
@@ -139,13 +63,13 @@ const stitchTimeout = 2 * time.Second
 // perturb serving stats, the retry budget, or the breaker.
 func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		rt.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	id := r.PathValue("id")
 	t := rt.rec.Get(id)
 	if t == nil {
-		rt.httpError(w, http.StatusNotFound, "no buffered trace with id %q (evicted or never traced)", id)
+		rt.front.Error(w, http.StatusNotFound, "no buffered trace with id %q (evicted or never traced)", id)
 		return
 	}
 	touched := map[int]bool{}
@@ -183,8 +107,7 @@ func (rt *Router) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 		}(idx, s)
 	}
 	wg.Wait()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	rt.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"trace":        t,
 		"shard_traces": shardTraces,
 	})

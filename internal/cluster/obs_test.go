@@ -15,17 +15,18 @@ import (
 
 	"anna"
 	"anna/internal/cluster/faultproxy"
+	"anna/internal/front"
 	"anna/internal/slo"
 	"anna/internal/trace"
 )
 
 // postSearchTagged posts a search with an explicit X-Request-ID, which
 // forces a router-side trace.
-func postSearchTagged(t *testing.T, h http.Handler, id string, req searchRequest) *httptest.ResponseRecorder {
+func postSearchTagged(t *testing.T, h http.Handler, id string, req front.SearchRequest) *httptest.ResponseRecorder {
 	t.Helper()
 	b, _ := json.Marshal(req)
 	r := httptest.NewRequest(http.MethodPost, "/search", bytes.NewReader(b))
-	r.Header.Set(HeaderRequestID, id)
+	r.Header.Set(trace.HeaderRequestID, id)
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, r)
 	return rec
@@ -64,18 +65,18 @@ func hopsFor(tr *trace.Trace, shard int) []trace.Hop {
 // failed primary and the winning retry, attributed to the same shard.
 func TestTraceRecordsRetryHops(t *testing.T) {
 	rt, proxies := faultedShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
-		staticSearchShard([]searchResult{{ID: 2, Score: 0.8}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 2, Score: 0.8}}),
 	}, fastOpts())
 	t.Cleanup(rt.Close)
 	proxies[0].Script(faultproxy.Fault{Mode: faultproxy.Err5xx})
 	h := rt.Handler()
 
-	rec := postSearchTagged(t, h, "retry-trace-1", searchRequest{Queries: [][]float32{{0}}, K: 4})
+	rec := postSearchTagged(t, h, "retry-trace-1", front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d", rec.Code)
 	}
-	if got := rec.Header().Get(HeaderRequestID); got != "retry-trace-1" {
+	if got := rec.Header().Get(trace.HeaderRequestID); got != "retry-trace-1" {
 		t.Fatalf("request ID not echoed: %q", got)
 	}
 
@@ -104,14 +105,14 @@ func TestHedgeLoserRecordsExactlyOneWinningHop(t *testing.T) {
 	opt.HedgeAfter = 10 * time.Millisecond
 	opt.HedgeMax = 10 * time.Millisecond
 	rt, proxies := faultedShardSet(t, []http.Handler{
-		staticSearchShard([]searchResult{{ID: 1, Score: 0.9}}),
+		staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}}),
 	}, opt)
 	t.Cleanup(rt.Close)
 	// The primary hangs far past the hedge delay; the hedge passes
 	// cleanly and wins while the primary is still in flight.
 	proxies[0].Script(faultproxy.Fault{Mode: faultproxy.Delay, Latency: time.Second})
 
-	rec := postSearchTagged(t, rt.Handler(), "hedge-trace-1", searchRequest{Queries: [][]float32{{0}}, K: 4})
+	rec := postSearchTagged(t, rt.Handler(), "hedge-trace-1", front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d", rec.Code)
 	}
@@ -212,7 +213,7 @@ func TestStitchedTraceAttributesDelayedShard(t *testing.T) {
 	h := rt.Handler()
 
 	const id = "stitch-1"
-	rec := postSearchTagged(t, h, id, searchRequest{Queries: [][]float32{{0.1, 0.2, 0.3, 0.4}}, K: 4})
+	rec := postSearchTagged(t, h, id, front.SearchRequest{Queries: [][]float32{{0.1, 0.2, 0.3, 0.4}}, K: 4})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status=%d: %s", rec.Code, rec.Body.String())
 	}
@@ -271,7 +272,7 @@ func TestStitchedTraceAttributesDelayedShard(t *testing.T) {
 func TestLatencySLOFiresAndClears(t *testing.T) {
 	opt := fastOpts()
 	opt.Timeout = 2 * time.Second
-	handlers := []http.Handler{staticSearchShard([]searchResult{{ID: 1, Score: 0.9}})}
+	handlers := []http.Handler{staticSearchShard([]front.SearchResult{{ID: 1, Score: 0.9}})}
 	bases := make([]string, len(handlers))
 	proxies := make([]*faultproxy.Proxy, len(handlers))
 	for i, hh := range handlers {
@@ -322,7 +323,7 @@ func TestLatencySLOFiresAndClears(t *testing.T) {
 	drive := func(wantState slo.State, deadline time.Duration) bool {
 		end := time.Now().Add(deadline)
 		for time.Now().Before(end) {
-			postSearch(t, h, searchRequest{Queries: [][]float32{{0}}, K: 4})
+			postSearch(t, h, front.SearchRequest{Queries: [][]float32{{0}}, K: 4})
 			if state() == wantState {
 				return true
 			}

@@ -12,40 +12,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"anna/internal/front"
 	"anna/internal/metrics"
 	"anna/internal/slo"
 	"anna/internal/topk"
 	"anna/internal/trace"
 	"anna/internal/tsdb"
 )
-
-// Wire types mirroring the annaserve JSON API. The router speaks the
-// same dialect on both sides, so a client cannot tell a router from a
-// single annaserve — except for the X-Anna-* headers it adds.
-type searchRequest struct {
-	Queries [][]float32 `json:"queries"`
-	W       int         `json:"w"`
-	K       int         `json:"k"`
-	Backend string      `json:"backend,omitempty"`
-}
-
-type searchResult struct {
-	ID    int64   `json:"id"`
-	Score float32 `json:"score"`
-}
-
-type searchResponse struct {
-	Results [][]searchResult `json:"results"`
-}
-
-type addRequest struct {
-	Vectors [][]float32 `json:"vectors"`
-}
-
-type addResponse struct {
-	FirstID int64 `json:"first_id"`
-	Count   int   `json:"count"`
-}
 
 // HeaderPartial carries the router's coverage declaration on degraded
 // responses: "shards=k/n" means k of n shards contributed.
@@ -119,16 +92,10 @@ type Router struct {
 	addRR atomic.Uint64 // round-robin cursor for /add placement
 
 	reg        *metrics.Registry
+	front      *front.Front
+	rec        *trace.Recorder
 	partials   *metrics.Counter
 	unservable *metrics.Counter
-	duration   map[string]*metrics.Histogram
-
-	logger   *slog.Logger
-	rec      *trace.Recorder
-	db       *tsdb.DB
-	eng      *slo.Engine
-	resps    atomic.Uint64 // responses served (availability signal)
-	resps5xx atomic.Uint64 // responses with a 5xx status
 }
 
 // New returns a router over the configured shards.
@@ -154,17 +121,12 @@ func New(cfg Config) (*Router, error) {
 		defaultK: cfg.DefaultK,
 		maxBatch: cfg.MaxBatch,
 		reg:      metrics.NewRegistry(),
-		duration: map[string]*metrics.Histogram{},
 	}
+	rt.front = front.New(rt.reg, "search", "add", "stats")
 	rt.partials = rt.reg.Counter("anna_partial_results_total",
 		"Search responses served with partial shard coverage.")
 	rt.unservable = rt.reg.Counter("anna_unservable_requests_total",
 		"Requests failed because no shard could serve them.")
-	for _, h := range []string{"search", "add", "stats"} {
-		rt.duration[h] = rt.reg.Histogram("anna_request_duration_seconds",
-			"Wall-clock request latency by handler.", nil,
-			metrics.Label{Key: "handler", Value: h})
-	}
 	for i, base := range cfg.Shards {
 		s := NewShard(i, base, cfg.Shard)
 		rt.shards = append(rt.shards, s)
@@ -193,31 +155,25 @@ func New(cfg Config) (*Router, error) {
 				return 0
 			}, lbl)
 	}
-	metrics.RegisterRuntime(rt.reg)
-	rt.logger = cfg.Logger
-	if rt.logger == nil {
-		rt.logger = slog.Default()
-	}
-	sample := cfg.TraceSampleEvery
-	if sample == 0 {
-		sample = 64
-	}
-	slowQ := cfg.SlowQuery
-	if slowQ == 0 {
-		slowQ = 250 * time.Millisecond
-	}
-	rt.rec = trace.NewRecorder(cfg.TraceRingSize, sample, slowQ, rt.logger)
-	rt.initObs(cfg)
+	rt.front.Start(front.Config{
+		Logger:          cfg.Logger,
+		ScrapeEvery:     cfg.ScrapeEvery,
+		SLOLatencyP99:   cfg.SLOLatencyP99,
+		SLOAvailability: cfg.SLOAvailability,
+		SLOOptions:      cfg.SLOOptions,
+		Series: []tsdb.Series{{Name: "partials", Kind: tsdb.CounterKind,
+			Sample: func() float64 { return float64(rt.partials.Value()) }}},
+		// Partial-coverage-aware availability: a degraded answer (some
+		// shards missing) costs half an error against the budget.
+		Unavailable: []slo.Part{{Series: "partials", Weight: 0.5}},
+	})
+	rt.rec = front.NewRecorder(rt.front.Log, cfg.TraceSampleEvery, cfg.SlowQuery, cfg.TraceRingSize)
 	return rt, nil
 }
 
 // Close stops the router's background scraper. The shard clients hold
 // no goroutines of their own.
-func (rt *Router) Close() {
-	if rt.db != nil {
-		rt.db.Close()
-	}
-}
+func (rt *Router) Close() { rt.front.Close() }
 
 // Shards exposes the shard clients (metrics, tests, annaload).
 func (rt *Router) Shards() []*Shard { return rt.shards }
@@ -229,55 +185,14 @@ func (rt *Router) Metrics() *metrics.Registry { return rt.reg }
 // a single annaserve, minus the single-process admin endpoints.
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/search", rt.instrument("search", rt.handleSearch))
-	mux.HandleFunc("/add", rt.instrument("add", rt.handleAdd))
-	mux.HandleFunc("/stats", rt.instrument("stats", rt.handleStats))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("/search", rt.front.Instrument("search", rt.handleSearch))
+	mux.HandleFunc("/add", rt.front.Instrument("add", rt.handleAdd))
+	mux.HandleFunc("/stats", rt.front.Instrument("stats", rt.handleStats))
 	mux.HandleFunc("/readyz", rt.handleReadyz)
-	mux.Handle("/metrics", rt.reg.Handler())
 	mux.HandleFunc("/debug/queries", rt.handleDebugQueries)
 	mux.HandleFunc("/debug/trace/{id}", rt.handleDebugTrace)
-	if rt.db != nil {
-		mux.Handle("/debug/tsdb", rt.db.Handler())
-		mux.Handle("/alerts", rt.eng.Handler())
-		mux.Handle("/debug/dash", slo.DashHandler("annarouter"))
-	}
+	rt.front.Mount(mux, "annarouter")
 	return mux
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (rt *Router) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		rt.duration[name].ObserveDuration(time.Since(start))
-		rt.resps.Add(1)
-		if sw.code >= 500 {
-			rt.resps5xx.Add(1)
-		}
-		rt.reg.Counter("anna_http_requests_total", "Requests by handler and status code.",
-			metrics.Label{Key: "handler", Value: name},
-			metrics.Label{Key: "code", Value: strconv.Itoa(sw.code)}).Inc()
-	}
-}
-
-func (rt *Router) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
 // shardReply is one shard's contribution to a scatter.
@@ -314,19 +229,19 @@ func (rt *Router) scatter(ctx context.Context, method, path string, body []byte)
 // the request.
 func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		rt.httpError(w, http.StatusMethodNotAllowed, "POST required")
+		rt.front.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	start := time.Now()
 	// The request ID rides every shard hop and is echoed back, matching
 	// annaserve's contract: the client's ID when it sent one (which also
 	// forces a trace), a generated one otherwise.
-	reqID := r.Header.Get(HeaderRequestID)
+	reqID := r.Header.Get(trace.HeaderRequestID)
 	tagged := reqID != ""
 	if !tagged {
 		reqID = trace.NewID()
 	}
-	w.Header().Set(HeaderRequestID, reqID)
+	w.Header().Set(trace.HeaderRequestID, reqID)
 	ctx := WithRequestID(r.Context(), reqID)
 	var tr *trace.Trace
 	if tagged || rt.rec.ShouldSample() {
@@ -337,25 +252,21 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		// own traces stitch under the same ID.
 		ctx = trace.NewContext(ctx, tr)
 		defer func() {
-			code := http.StatusOK
-			if sw, ok := w.(*statusWriter); ok {
-				code = sw.code
-			}
-			tr.Finish(code)
+			tr.Finish(front.Status(w))
 			rt.rec.Record(tr)
 		}()
 	}
-	var req searchRequest
+	var req front.SearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		rt.front.Error(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		rt.httpError(w, http.StatusBadRequest, "no queries")
+		rt.front.Error(w, http.StatusBadRequest, "no queries")
 		return
 	}
 	if len(req.Queries) > rt.maxBatch {
-		rt.httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), rt.maxBatch)
+		rt.front.Error(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), rt.maxBatch)
 		return
 	}
 	// Normalize the knobs before fan-out so every shard answers the
@@ -372,7 +283,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		rt.httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		rt.front.Error(w, http.StatusInternalServerError, "encoding request: %v", err)
 		return
 	}
 
@@ -397,7 +308,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		if rep.err != nil || rep.status != http.StatusOK {
 			continue
 		}
-		var sr searchResponse
+		var sr front.SearchResponse
 		if err := json.Unmarshal(rep.body, &sr); err != nil || len(sr.Results) != len(req.Queries) {
 			continue // malformed reply = failed shard, coverage drops
 		}
@@ -415,20 +326,20 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	if ok == 0 {
 		rt.unservable.Inc()
-		rt.httpError(w, http.StatusBadGateway, "no shard reachable (0/%d)", len(rt.shards))
+		rt.front.Error(w, http.StatusBadGateway, "no shard reachable (0/%d)", len(rt.shards))
 		return
 	}
 
-	resp := searchResponse{Results: make([][]searchResult, len(req.Queries))}
+	resp := front.SearchResponse{Results: make([][]front.SearchResult, len(req.Queries))}
 	merge := make([][]topk.Result, len(lists))
 	for q := range req.Queries {
 		for i, perQuery := range lists {
 			merge[i] = perQuery[q]
 		}
 		merged := topk.Merge(req.K, merge...)
-		out := make([]searchResult, len(merged))
+		out := make([]front.SearchResult, len(merged))
 		for j, m := range merged {
-			out[j] = searchResult{ID: m.ID, Score: m.Score}
+			out[j] = front.SearchResult{ID: m.ID, Score: m.Score}
 		}
 		resp.Results[q] = out
 	}
@@ -437,8 +348,7 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set(HeaderPartial, fmt.Sprintf("shards=%d/%d", ok, len(rt.shards)))
 		rt.partials.Inc()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	rt.front.WriteJSON(w, http.StatusOK, resp)
 }
 
 // handleAdd routes one add batch to a single owning shard. The shard's
@@ -450,27 +360,27 @@ func (rt *Router) handleSearch(w http.ResponseWriter, r *http.Request) {
 // provably unsent) moves to the next shard.
 func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		rt.httpError(w, http.StatusMethodNotAllowed, "POST required")
+		rt.front.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	reqID := r.Header.Get(HeaderRequestID)
+	reqID := r.Header.Get(trace.HeaderRequestID)
 	if reqID == "" {
 		reqID = trace.NewID()
 	}
-	w.Header().Set(HeaderRequestID, reqID)
+	w.Header().Set(trace.HeaderRequestID, reqID)
 	ctx := WithRequestID(r.Context(), reqID)
-	var req addRequest
+	var req front.AddRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		rt.front.Error(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Vectors) == 0 {
-		rt.httpError(w, http.StatusBadRequest, "no vectors")
+		rt.front.Error(w, http.StatusBadRequest, "no vectors")
 		return
 	}
 	body, err := json.Marshal(req)
 	if err != nil {
-		rt.httpError(w, http.StatusInternalServerError, "encoding request: %v", err)
+		rt.front.Error(w, http.StatusInternalServerError, "encoding request: %v", err)
 		return
 	}
 	start := int(rt.addRR.Add(1)-1) % len(rt.shards)
@@ -479,7 +389,7 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 		status, b, err := s.Do(ctx, http.MethodPost, "/add", body, false)
 		if err != nil {
 			if r.Context().Err() != nil {
-				rt.httpError(w, http.StatusGatewayTimeout, "add canceled: %v", err)
+				rt.front.Error(w, http.StatusGatewayTimeout, "add canceled: %v", err)
 				return
 			}
 			// ErrShardDown means the request was never sent — the next
@@ -492,7 +402,7 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 			// Name the shard so the client knows whose state is now
 			// ambiguous (the batch may or may not have been applied).
 			w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
-			rt.httpError(w, http.StatusBadGateway, "shard %d add failed: %v", s.Index, err)
+			rt.front.Error(w, http.StatusBadGateway, "shard %d add failed: %v", s.Index, err)
 			return
 		}
 		if status != http.StatusOK {
@@ -503,31 +413,30 @@ func (rt *Router) handleAdd(w http.ResponseWriter, r *http.Request) {
 			w.Write(b)
 			return
 		}
-		var ar addResponse
+		var ar front.AddResponse
 		if err := json.Unmarshal(b, &ar); err != nil {
-			rt.httpError(w, http.StatusBadGateway, "shard %d add reply: %v", s.Index, err)
+			rt.front.Error(w, http.StatusBadGateway, "shard %d add reply: %v", s.Index, err)
 			return
 		}
 		if ar.FirstID+int64(ar.Count) > rt.stride {
-			rt.httpError(w, http.StatusInternalServerError,
+			rt.front.Error(w, http.StatusInternalServerError,
 				"shard %d exhausted its ID stripe (%d ids)", s.Index, rt.stride)
 			return
 		}
 		ar.FirstID += int64(s.Index) * rt.stride
 		w.Header().Set(HeaderShard, strconv.Itoa(s.Index))
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(ar)
+		rt.front.WriteJSON(w, http.StatusOK, ar)
 		return
 	}
 	rt.unservable.Inc()
-	rt.httpError(w, http.StatusBadGateway, "no shard accepting adds (0/%d)", len(rt.shards))
+	rt.front.Error(w, http.StatusBadGateway, "no shard accepting adds (0/%d)", len(rt.shards))
 }
 
 // handleStats aggregates shard /stats into a cluster view: total
 // vectors, per-shard detail, and breaker states.
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		rt.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		rt.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	replies := rt.scatter(r.Context(), http.MethodGet, "/stats", nil)
@@ -555,8 +464,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 		shards[i] = entry
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
+	rt.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"vectors": total,
 		"stride":  rt.stride,
 		"shards":  shards,
@@ -594,10 +502,8 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if ready == 0 {
 		code = http.StatusServiceUnavailable
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set(HeaderPartial, fmt.Sprintf("shards=%d/%d", ready, len(rt.shards)))
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]any{
+	rt.front.WriteJSON(w, code, map[string]any{
 		"ready":  ready > 0,
 		"shards": states,
 	})

@@ -21,12 +21,8 @@ import (
 // its half-open probe is already taken): the request was not sent.
 var ErrShardDown = errors.New("cluster: shard circuit open")
 
-// HeaderRequestID is the request-ID header propagated from router
-// clients through every shard hop, matching annaserve's contract.
-const HeaderRequestID = "X-Request-ID"
-
 // reqIDKey carries the request ID through a scatter so every shard hop
-// can stamp HeaderRequestID without threading an extra parameter
+// can stamp trace.HeaderRequestID without threading an extra parameter
 // through Shard.Do's many call sites.
 type reqIDKey struct{}
 
@@ -400,7 +396,7 @@ func (s *Shard) once(ctx context.Context, method, path string, body []byte, idem
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if id := RequestIDFrom(ctx); id != "" {
-		req.Header.Set(HeaderRequestID, id)
+		req.Header.Set(trace.HeaderRequestID, id)
 	}
 	if tr := trace.FromContext(ctx); tr != nil {
 		// Cross-process trace context: the shard's own trace adopts this

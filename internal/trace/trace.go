@@ -175,6 +175,11 @@ func NewID() string {
 	return idPrefix + "-" + strconv.FormatUint(idCounter.Add(1), 16)
 }
 
+// HeaderRequestID carries the query ID: echoed back when the client
+// sets it (which also forces a trace), generated otherwise, and
+// forwarded on every router-to-shard hop.
+const HeaderRequestID = "X-Request-ID"
+
 // HeaderWire is the cross-process trace-context header: a router (or
 // any other upstream) stamps it on outbound shard requests so the
 // shard's trace shares the caller's ID and names its parent span. The

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/front"
 	"anna/internal/trace"
 )
 
@@ -52,7 +53,7 @@ func getJSON(t *testing.T, url string, v any) {
 // series with points, SLO alerts, and the self-contained dashboard.
 func TestObsEndpoints(t *testing.T) {
 	_, ts, base := newObsServer(t)
-	resp := postJSON(t, ts+"/search", searchRequest{Queries: [][]float32{base[0]}, K: 3})
+	resp := postJSON(t, ts+"/search", front.SearchRequest{Queries: [][]float32{base[0]}, K: 3})
 	resp.Body.Close()
 	time.Sleep(50 * time.Millisecond) // a few scrape ticks
 
@@ -119,7 +120,7 @@ func TestObsDisabled(t *testing.T) {
 // the caller's span — the shard half of cross-process stitching.
 func TestWireHeaderForcesTraceWithParent(t *testing.T) {
 	_, ts, base := newObsServer(t)
-	b, _ := json.Marshal(searchRequest{Queries: [][]float32{base[0]}, K: 3})
+	b, _ := json.Marshal(front.SearchRequest{Queries: [][]float32{base[0]}, K: 3})
 	req, _ := http.NewRequest(http.MethodPost, ts+"/search", strings.NewReader(string(b)))
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(trace.HeaderWire, trace.FormatWire("wire-42", "shard7"))
@@ -132,7 +133,7 @@ func TestWireHeaderForcesTraceWithParent(t *testing.T) {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
 	// The wire ID doubles as the request ID when none is set explicitly.
-	if got := resp.Header.Get(requestIDHeader); got != "wire-42" {
+	if got := resp.Header.Get(trace.HeaderRequestID); got != "wire-42" {
 		t.Errorf("request ID echo = %q, want wire-42", got)
 	}
 

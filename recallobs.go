@@ -23,7 +23,7 @@ import (
 // histogram through the server's /metrics endpoint. The rolling
 // estimate also feeds the recall SLO when Server.SLORecall is set: the
 // embedded tsdb scrapes it as the "recall" series and the burn-rate
-// engine alerts on /alerts when it sinks below the floor (obs.go,
+// engine alerts on /alerts when it sinks below the floor (internal/front,
 // docs/ARCHITECTURE.md §4k).
 
 // RecallEstimatorOptions configure a RecallEstimator.

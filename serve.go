@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"anna/internal/adaptive"
+	"anna/internal/front"
 	"anna/internal/metrics"
 	"anna/internal/qos"
 	"anna/internal/slo"
@@ -54,6 +55,9 @@ import (
 // otherwise. Beyond the explicit opt-in, 1-in-TraceSampleEvery queries
 // are traced, and any query slower than SlowQuery is captured and
 // logged even when it missed the sample.
+//
+// The exported fields are read once, when Handler is first called
+// (the trace knobs at the first search); set them before serving.
 //
 // Add is serialised against searches with a read-write lock; searches
 // run concurrently. Every request is recorded into the server's metrics
@@ -142,13 +146,11 @@ type Server struct {
 	// precision-escalation policy applied to every software search, or —
 	// with RecallTarget set and Recall attached — a closed-loop
 	// controller that tunes the policy against the live recall estimate.
-	// Set before the first request, like the trace knobs.
 	Adaptive AdaptiveServing
 	// ScrapeEvery is the embedded tsdb's scrape interval: how often the
 	// serving counters are snapshotted into the ring behind /debug/tsdb
 	// and the SLO burn-rate engine ticks (default 10s; negative disables
-	// the tsdb, the SLO engine, /alerts and /debug/dash entirely). Read
-	// once at Handler time, like the trace knobs.
+	// the tsdb, the SLO engine, /alerts and /debug/dash entirely).
 	ScrapeEvery time.Duration
 	// SLOLatencyP99 enables the latency SLO: at most 1% of /search
 	// requests may be slower than this bound (the bound snaps to the
@@ -166,29 +168,25 @@ type Server struct {
 	// values = the 5m/1h + 30m/6h defaults); tests shrink them.
 	SLOOptions slo.Options
 
-	adaptOnce sync.Once                      // registers adaptive metrics / starts the controller once
-	ctrlOnce  sync.Once                      // Close stops the controller exactly once
-	knobs     atomic.Pointer[adaptive.Knobs] // controller operating point (nil = static policy)
-	effort    atomic.Int64                   // controller effort level, surfaced in traces
-	ctrlStop  chan struct{}
-	ctrlDone  chan struct{}
+	setupOnce sync.Once      // reads the knobs and builds what they configure
+	mux       *http.ServeMux // built by setup
+	front     *front.Front
+	m         *serverMetrics
+	// The trace recorder is built at the first search, not in setup:
+	// the trace knobs may still be set after Handler.
+	traceOnce sync.Once
+	rec       *trace.Recorder
+
+	ctrlOnce sync.Once                      // Close stops the controller exactly once
+	knobs    atomic.Pointer[adaptive.Knobs] // controller operating point (nil = static policy)
+	effort   atomic.Int64                   // controller effort level, surfaced in traces
+	ctrlStop chan struct{}
+	ctrlDone chan struct{}
 
 	inflight   atomic.Int64
 	addedSince atomic.Int64 // vectors added since the last snapshot
-	durOnce    sync.Once    // registers durability metrics exactly once
-	traceOnce  sync.Once    // builds the trace recorder exactly once
-	rec        *trace.Recorder
-	recallOnce sync.Once // registers recall metrics exactly once
-	qosOnce    sync.Once // builds batcher/cache exactly once
 	batcher    atomic.Pointer[qos.Batcher[servedRow]]
 	cache      atomic.Pointer[qos.Cache[servedRow]]
-	m          *serverMetrics
-
-	obsOnce  sync.Once // builds the tsdb + SLO engine exactly once
-	db       *tsdb.DB
-	sloEng   *slo.Engine
-	resps    atomic.Uint64 // responses served (tsdb availability signal)
-	resps5xx atomic.Uint64 // responses with a 5xx status
 }
 
 // servedRow is one query's served results plus the cache generation
@@ -203,7 +201,6 @@ type servedRow struct {
 	scanned          int64
 	clusters         int64
 	escalated        int64
-	effort           int
 }
 
 // AdaptiveServing configures the serving layer's per-query effort (see
@@ -310,49 +307,47 @@ func (s *Server) controllerConfig() adaptive.ControllerConfig {
 
 // initAdaptive registers the adaptive instruments and, when a
 // RecallTarget is set with an estimator attached, starts the controller
-// goroutine. Idempotent, called from Handler.
+// goroutine.
 func (s *Server) initAdaptive() {
 	if !s.Adaptive.active() {
 		return
 	}
-	s.adaptOnce.Do(func() {
-		reg := s.m.reg
-		s.m.adaptClusters = reg.Counter("anna_adaptive_clusters_scanned",
-			"Inverted lists scanned by adaptive searches (fewer than queries*W under early termination).")
-		s.m.adaptEsc = reg.Counter("anna_adaptive_escalations_total",
-			"Candidates re-scored through the SQ8 precision-escalation band.")
-		knob := func(name string, get func(kn adaptive.Knobs, effort int) float64) {
-			reg.GaugeFunc("anna_adaptive_knob",
-				"Current adaptive operating point by knob.",
-				func() float64 { kn, eff, _ := s.adaptiveKnobs(); return get(kn, eff) },
-				metrics.Label{Key: "name", Value: name})
+	reg := s.m.reg
+	s.m.adaptClusters = reg.Counter("anna_adaptive_clusters_scanned",
+		"Inverted lists scanned by adaptive searches (fewer than queries*W under early termination).")
+	s.m.adaptEsc = reg.Counter("anna_adaptive_escalations_total",
+		"Candidates re-scored through the SQ8 precision-escalation band.")
+	knob := func(name string, get func(kn adaptive.Knobs, effort int) float64) {
+		reg.GaugeFunc("anna_adaptive_knob",
+			"Current adaptive operating point by knob.",
+			func() float64 { kn, eff, _ := s.adaptiveKnobs(); return get(kn, eff) },
+			metrics.Label{Key: "name", Value: name})
+	}
+	knob("w", func(kn adaptive.Knobs, _ int) float64 {
+		if kn.W > 0 {
+			return float64(kn.W)
 		}
-		knob("w", func(kn adaptive.Knobs, _ int) float64 {
-			if kn.W > 0 {
-				return float64(kn.W)
-			}
-			return float64(s.DefaultW)
-		})
-		knob("stop_patience", func(kn adaptive.Knobs, _ int) float64 { return float64(kn.StopPatience) })
-		knob("escalate_factor", func(kn adaptive.Knobs, _ int) float64 { return float64(kn.EscalateFactor) })
-		knob("margin", func(kn adaptive.Knobs, _ int) float64 { return float64(kn.Margin) })
-		knob("effort", func(_ adaptive.Knobs, eff int) float64 { return float64(eff) })
-
-		if s.Adaptive.RecallTarget <= 0 || s.Recall == nil {
-			return
-		}
-		ctrl := adaptive.NewController(s.controllerConfig())
-		kn := ctrl.Knobs()
-		s.knobs.Store(&kn)
-		s.effort.Store(int64(ctrl.Level()))
-		interval := s.Adaptive.Interval
-		if interval <= 0 {
-			interval = time.Second
-		}
-		s.ctrlStop = make(chan struct{})
-		s.ctrlDone = make(chan struct{})
-		go s.controllerLoop(ctrl, interval)
+		return float64(s.DefaultW)
 	})
+	knob("stop_patience", func(kn adaptive.Knobs, _ int) float64 { return float64(kn.StopPatience) })
+	knob("escalate_factor", func(kn adaptive.Knobs, _ int) float64 { return float64(kn.EscalateFactor) })
+	knob("margin", func(kn adaptive.Knobs, _ int) float64 { return float64(kn.Margin) })
+	knob("effort", func(_ adaptive.Knobs, eff int) float64 { return float64(eff) })
+
+	if s.Adaptive.RecallTarget <= 0 || s.Recall == nil {
+		return
+	}
+	ctrl := adaptive.NewController(s.controllerConfig())
+	kn := ctrl.Knobs()
+	s.knobs.Store(&kn)
+	s.effort.Store(int64(ctrl.Level()))
+	interval := s.Adaptive.Interval
+	if interval <= 0 {
+		interval = time.Second
+	}
+	s.ctrlStop = make(chan struct{})
+	s.ctrlDone = make(chan struct{})
+	go s.controllerLoop(ctrl, interval)
 }
 
 // controllerLoop drives the recall-SLO controller: each tick feeds the
@@ -376,7 +371,7 @@ func (s *Server) controllerLoop(ctrl *adaptive.Controller, interval time.Duratio
 			k := kn
 			s.knobs.Store(&k)
 			s.effort.Store(int64(ctrl.Level()))
-			s.slogger().Info("adaptive controller stepped",
+			s.front.Log.Info("adaptive controller stepped",
 				"recall", rolling,
 				"target", s.Adaptive.RecallTarget,
 				"effort", ctrl.Level(), "max_effort", ctrl.MaxLevel(),
@@ -393,7 +388,6 @@ func (s *Server) controllerLoop(ctrl *adaptive.Controller, interval time.Duratio
 type serverMetrics struct {
 	reg *metrics.Registry
 
-	reqDuration map[string]*metrics.Histogram // per handler
 	stage       map[string]*metrics.Histogram // select / scan / merge
 	queries     *metrics.Counter
 	scanned     *metrics.Counter
@@ -421,9 +415,8 @@ var stageNames = []string{"select", "scan", "rerank", "merge"}
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := metrics.NewRegistry()
 	m := &serverMetrics{
-		reg:         reg,
-		reqDuration: map[string]*metrics.Histogram{},
-		stage:       map[string]*metrics.Histogram{},
+		reg:   reg,
+		stage: map[string]*metrics.Histogram{},
 		queries: reg.Counter("anna_search_queries_total",
 			"Queries executed by the software engine."),
 		scanned: reg.Counter("anna_scanned_vectors_total",
@@ -444,11 +437,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		rejectDepth: reg.Histogram("anna_rejected_queue_depth",
 			"Batcher queue depth observed at each 429 rejection.",
 			metrics.ExpBuckets(1, 2, 16)),
-	}
-	for _, h := range []string{"search", "add", "stats", "snapshot", "state", "tail"} {
-		m.reqDuration[h] = reg.Histogram("anna_request_duration_seconds",
-			"Wall-clock request latency by handler.", nil,
-			metrics.Label{Key: "handler", Value: h})
 	}
 	for _, st := range stageNames {
 		m.stage[st] = reg.Histogram("anna_stage_duration_seconds",
@@ -499,7 +487,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 		cacheStat(func(_, _, e, _ uint64) uint64 { return e }))
 	reg.CounterFunc("anna_cache_invalidations_total", "Result-cache invalidations (corpus changes).",
 		cacheStat(func(_, _, _, i uint64) uint64 { return i }))
-	metrics.RegisterRuntime(reg)
 	return m
 }
 
@@ -507,6 +494,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 func NewServer(idx *Index) *Server {
 	s := &Server{idx: idx, MaxBatch: 1024, DefaultW: 32, DefaultK: 10}
 	s.m = newServerMetrics(s)
+	s.front = front.New(s.m.reg, "search", "add", "stats", "snapshot", "state", "tail")
 	return s
 }
 
@@ -515,113 +503,72 @@ func NewServer(idx *Index) *Server {
 func (s *Server) Metrics() *metrics.Registry { return s.m.reg }
 
 // registerDurable creates the durability instruments once a Store is
-// attached. Idempotent: Handler may be called more than once, but the
-// recovery counter must be seeded and the fsync hook installed exactly
-// once.
+// attached, seeds the recovery counter and installs the fsync hook.
 func (s *Server) registerDurable() {
 	if s.Store == nil {
 		return
 	}
-	s.durOnce.Do(func() {
-		reg := s.m.reg
-		s.m.walAppend = reg.Histogram("anna_wal_append_duration_seconds",
-			"WAL append latency per /add batch, including fsync under SyncAlways.", nil)
-		s.m.walFsync = reg.Histogram("anna_wal_fsync_duration_seconds",
-			"WAL fsync latency per sync call.", nil)
-		s.Store.SetSyncObserver(s.m.walFsync.ObserveDuration)
-		s.m.snapDur = reg.Histogram("anna_snapshot_duration_seconds",
-			"Snapshot write duration (atomic save, fsync, WAL trim).", nil)
-		reg.GaugeFunc("anna_snapshot_size_bytes",
-			"Byte size of the last written snapshot.",
-			func() float64 { _, size, _ := s.Store.SnapshotStats(); return float64(size) })
-		reg.CounterFunc("anna_snapshots_total",
-			"Snapshots written (manual, automatic, and shutdown).",
-			func() uint64 { _, _, n := s.Store.SnapshotStats(); return n })
-		fsyncs := reg.Counter("anna_wal_fsync_total", "WAL fsync calls.")
-		s.Store.SetOnSync(fsyncs.Inc)
-		reg.Counter("anna_recovery_replayed_records_total",
-			"WAL records replayed onto the snapshot at startup.").
-			Add(uint64(s.Store.ReplayedRecords()))
-		reg.GaugeFunc("anna_last_snapshot_age_seconds",
-			"Seconds since the snapshot was last written.",
-			func() float64 { return time.Since(s.Store.LastSnapshot()).Seconds() })
-		reg.GaugeFunc("anna_wal_records",
-			"Records in the live WAL segment.",
-			func() float64 { return float64(s.Store.WALRecords()) })
-		reg.GaugeFunc("anna_wal_size_bytes",
-			"Byte length of the live WAL segment.",
-			func() float64 { return float64(s.Store.WALSize()) })
-	})
-}
-
-// slogger returns the server's structured logger.
-func (s *Server) slogger() *slog.Logger {
-	if s.Logger != nil {
-		return s.Logger
-	}
-	return slog.Default()
-}
-
-// tracer returns the server's trace recorder, building it from the
-// Trace* / SlowQuery knobs on first use (set them before serving).
-func (s *Server) tracer() *trace.Recorder {
-	s.traceOnce.Do(func() {
-		sample := s.TraceSampleEvery
-		if sample == 0 {
-			sample = 64
-		}
-		slow := s.SlowQuery
-		if slow == 0 {
-			slow = 250 * time.Millisecond
-		}
-		s.rec = trace.NewRecorder(s.TraceRingSize, sample, slow, s.slogger())
-	})
-	return s.rec
-}
-
-// registerRecall publishes the attached RecallEstimator's instruments
-// through the server registry exactly once.
-func (s *Server) registerRecall() {
-	if s.Recall == nil {
-		return
-	}
-	s.recallOnce.Do(func() { s.Recall.Register(s.m.reg) })
+	reg := s.m.reg
+	s.m.walAppend = reg.Histogram("anna_wal_append_duration_seconds",
+		"WAL append latency per /add batch, including fsync under SyncAlways.", nil)
+	s.m.walFsync = reg.Histogram("anna_wal_fsync_duration_seconds",
+		"WAL fsync latency per sync call.", nil)
+	s.Store.SetSyncObserver(s.m.walFsync.ObserveDuration)
+	s.m.snapDur = reg.Histogram("anna_snapshot_duration_seconds",
+		"Snapshot write duration (atomic save, fsync, WAL trim).", nil)
+	reg.GaugeFunc("anna_snapshot_size_bytes",
+		"Byte size of the last written snapshot.",
+		func() float64 { _, size, _ := s.Store.SnapshotStats(); return float64(size) })
+	reg.CounterFunc("anna_snapshots_total",
+		"Snapshots written (manual, automatic, and shutdown).",
+		func() uint64 { _, _, n := s.Store.SnapshotStats(); return n })
+	fsyncs := reg.Counter("anna_wal_fsync_total", "WAL fsync calls.")
+	s.Store.SetOnSync(fsyncs.Inc)
+	reg.Counter("anna_recovery_replayed_records_total",
+		"WAL records replayed onto the snapshot at startup.").
+		Add(uint64(s.Store.ReplayedRecords()))
+	reg.GaugeFunc("anna_last_snapshot_age_seconds",
+		"Seconds since the snapshot was last written.",
+		func() float64 { return time.Since(s.Store.LastSnapshot()).Seconds() })
+	reg.GaugeFunc("anna_wal_records",
+		"Records in the live WAL segment.",
+		func() float64 { return float64(s.Store.WALRecords()) })
+	reg.GaugeFunc("anna_wal_size_bytes",
+		"Byte length of the live WAL segment.",
+		func() float64 { return float64(s.Store.WALSize()) })
 }
 
 // initQoS builds the dynamic batcher, result cache, and tenant table
-// from the Batch*/CacheSize/Tenants knobs exactly once (set them before
-// the first request, like the trace knobs).
+// from the Batch*/CacheSize/Tenants knobs.
 func (s *Server) initQoS() {
-	s.qosOnce.Do(func() {
-		if s.CacheSize >= 0 {
-			size := s.CacheSize
-			if size == 0 {
-				size = 4096
-			}
-			s.cache.Store(qos.NewCache[servedRow](size))
+	if s.CacheSize >= 0 {
+		size := s.CacheSize
+		if size == 0 {
+			size = 4096
 		}
-		if s.BatchWindow >= 0 {
-			conc := s.BatchMaxConcurrent
-			if conc <= 0 {
-				conc = runtime.GOMAXPROCS(0)
-			}
-			s.batcher.Store(qos.NewBatcher(s.runCoalesced, qos.BatcherOptions{
-				Window:        s.BatchWindow,
-				MaxBatch:      s.BatchMaxSize,
-				MaxConcurrent: conc,
-				Observer: qos.Observer{
-					Flush: func(size, _ int) {
-						s.m.flushes.Inc()
-						s.m.batchSize.Observe(float64(size))
-					},
-					Wait: s.m.batchWait.ObserveDuration,
+		s.cache.Store(qos.NewCache[servedRow](size))
+	}
+	if s.BatchWindow >= 0 {
+		conc := s.BatchMaxConcurrent
+		if conc <= 0 {
+			conc = runtime.GOMAXPROCS(0)
+		}
+		s.batcher.Store(qos.NewBatcher(s.searchLocked, qos.BatcherOptions{
+			Window:        s.BatchWindow,
+			MaxBatch:      s.BatchMaxSize,
+			MaxConcurrent: conc,
+			Observer: qos.Observer{
+				Flush: func(size, _ int) {
+					s.m.flushes.Inc()
+					s.m.batchSize.Observe(float64(size))
 				},
-			}))
-		}
-		if s.Tenants == nil {
-			s.Tenants = qos.NewTenants(qos.TenantConfig{})
-		}
-	})
+				Wait: s.m.batchWait.ObserveDuration,
+			},
+		}))
+	}
+	if s.Tenants == nil {
+		s.Tenants = qos.NewTenants(qos.TenantConfig{})
+	}
 }
 
 // Close releases the server's background resources: it closes the
@@ -638,9 +585,7 @@ func (s *Server) Close() {
 	if b := s.batcher.Load(); b != nil {
 		b.Drain()
 	}
-	if s.db != nil {
-		s.db.Close()
-	}
+	s.front.Close()
 }
 
 // searchLocked runs one software-backend engine batch under the read
@@ -648,9 +593,9 @@ func (s *Server) Close() {
 // generation is snapshotted under the same lock the engine runs under,
 // so a row carrying it can never be stored after an invalidation that
 // its search did not observe.
-func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, *BatchReport, error) {
+func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, error) {
 	opt := SearchOptions{W: w, K: k, Mode: ClusterMajor}
-	kn, effort, adaptOn := s.adaptiveKnobs()
+	kn, _, adaptOn := s.adaptiveKnobs()
 	if adaptOn {
 		// The engine forces query-at-a-time under an enabled policy;
 		// disabled knob values keep this bit-identical to the fixed path.
@@ -669,7 +614,7 @@ func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int
 	rep, err := s.idx.SearchBatchContext(ctx, queries, opt)
 	s.mu.RUnlock()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	s.recordSearch(len(queries), rep, adaptOn)
 	if s.Recall != nil {
@@ -683,16 +628,9 @@ func (s *Server) searchLocked(ctx context.Context, queries [][]float32, w, k int
 			rerank:   rep.RerankTime,
 			scanned:  rep.ScannedVectors,
 			clusters: rep.ClustersScanned, escalated: rep.Escalations,
-			effort: effort,
 		}
 	}
-	return rows, rep, nil
-}
-
-// runCoalesced is the batcher's RunFunc: one coalesced flush.
-func (s *Server) runCoalesced(ctx context.Context, queries [][]float32, w, k int) ([]servedRow, error) {
-	rows, _, err := s.searchLocked(ctx, queries, w, k)
-	return rows, err
+	return rows, nil
 }
 
 // appendCacheKey builds the result-cache key for one query: the search
@@ -716,7 +654,7 @@ func (s *Server) appendCacheKey(dst []byte, q []float32, w, k int) []byte {
 }
 
 // tenantFor resolves the request's QoS tenant from the X-API-Key
-// header (or an Authorization: Bearer token). Nil only before initQoS.
+// header (or an Authorization: Bearer token).
 func (s *Server) tenantFor(r *http.Request) *qos.Tenant {
 	if s.Tenants == nil {
 		return nil
@@ -730,29 +668,54 @@ func (s *Server) tenantFor(r *http.Request) *qos.Tenant {
 	return s.Tenants.Resolve(key)
 }
 
-// retryAfterJitter picks a 1–3s Retry-After so rejected clients do not
-// re-converge on the same instant. The math lives in qos so the router
-// retry loop shares it.
-func retryAfterJitter() int { return qos.RetryAfterSeconds() }
-
-// Handler returns the HTTP handler tree.
+// Handler returns the HTTP handler tree, running setup on first call.
 func (s *Server) Handler() http.Handler {
+	s.setupOnce.Do(s.setup)
+	return s.mux
+}
+
+// tracer returns the trace recorder, built from the Trace*/SlowQuery
+// knobs on first use.
+func (s *Server) tracer() *trace.Recorder {
+	s.traceOnce.Do(func() {
+		s.rec = front.NewRecorder(s.front.Log, s.TraceSampleEvery, s.SlowQuery, s.TraceRingSize)
+	})
+	return s.rec
+}
+
+// setup builds everything the knobs configure — the tsdb and SLO
+// engine, the durability, recall and adaptive instruments, the batcher
+// and cache — and the handler tree.
+func (s *Server) setup() {
+	var recall func() float64
+	if s.Recall != nil {
+		s.Recall.Register(s.m.reg)
+		recall = s.Recall.Rolling
+	}
+	s.front.Start(front.Config{
+		Logger:          s.Logger,
+		ScrapeEvery:     s.ScrapeEvery,
+		SLOLatencyP99:   s.SLOLatencyP99,
+		SLOAvailability: s.SLOAvailability,
+		SLOOptions:      s.SLOOptions,
+		Series: []tsdb.Series{
+			{Name: "queries", Kind: tsdb.CounterKind, Sample: func() float64 { return float64(s.m.queries.Value()) }},
+			{Name: "inflight", Kind: tsdb.GaugeKind, Sample: func() float64 { return float64(s.inflight.Load()) }},
+		},
+		SLORecall: s.SLORecall,
+		Recall:    recall,
+	})
 	s.registerDurable()
-	s.registerRecall()
 	s.initAdaptive()
 	s.initQoS()
-	s.initObs()
+
 	mux := http.NewServeMux()
-	mux.HandleFunc("/search", s.instrument("search", s.handleSearch))
-	mux.HandleFunc("/add", s.instrument("add", s.handleAdd))
-	mux.HandleFunc("/stats", s.instrument("stats", s.handleStats))
-	mux.HandleFunc("/admin/snapshot", s.instrument("snapshot", s.handleSnapshot))
-	mux.HandleFunc("/admin/state", s.instrument("state", s.handleAdminState))
-	mux.HandleFunc("/admin/wal/tail", s.instrument("tail", s.handleWALTail))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
+	mux.HandleFunc("/search", s.front.Instrument("search", s.handleSearch))
+	mux.HandleFunc("/add", s.front.Instrument("add", s.handleAdd))
+	mux.HandleFunc("/stats", s.front.Instrument("stats", s.handleStats))
+	mux.HandleFunc("/admin/snapshot", s.front.Instrument("snapshot", s.handleSnapshot))
+	mux.HandleFunc("/admin/state", s.front.Instrument("state", s.handleAdminState))
+	mux.HandleFunc("/admin/wal/tail", s.front.Instrument("tail", s.handleWALTail))
 	// By the time this handler serves traffic, construction — snapshot
 	// load and WAL replay included — has finished; a booting process
 	// answers 503 through the ReadinessGate wrapper instead.
@@ -760,14 +723,9 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ready")
 	})
-	mux.Handle("/metrics", s.m.reg.Handler())
 	mux.HandleFunc("/debug/queries", s.handleDebugQueries)
 	mux.HandleFunc("/debug/trace/{id}", s.handleDebugTrace)
-	if s.db != nil {
-		mux.Handle("/debug/tsdb", s.db.Handler())
-		mux.Handle("/alerts", s.sloEng.Handler())
-		mux.Handle("/debug/dash", slo.DashHandler("annaserve"))
-	}
+	s.front.Mount(mux, "annaserve")
 	if !s.DisablePprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -775,36 +733,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	return mux
-}
-
-// statusWriter captures the status code a handler writes.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-// instrument wraps a handler with request counting and latency
-// recording under anna_http_requests_total / anna_request_duration_seconds.
-func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		h(sw, r)
-		s.m.reqDuration[name].ObserveDuration(time.Since(start))
-		s.resps.Add(1)
-		if sw.code >= 500 {
-			s.resps5xx.Add(1)
-		}
-		s.m.reg.Counter("anna_http_requests_total", "Requests by handler and status code.",
-			metrics.Label{Key: "handler", Value: name},
-			metrics.Label{Key: "code", Value: strconv.Itoa(sw.code)}).Inc()
-	}
+	s.mux = mux
 }
 
 // statusClientClosedRequest is nginx's convention for "the client went
@@ -823,28 +752,6 @@ func searchErrStatus(err error) int {
 	}
 }
 
-type searchRequest struct {
-	Queries [][]float32 `json:"queries"`
-	W       int         `json:"w"`
-	K       int         `json:"k"`
-	// Backend selects "software" (default) or "anna" (the simulated
-	// accelerator; requires Server.Accelerator).
-	Backend string `json:"backend"`
-}
-
-type searchResult struct {
-	ID    int64   `json:"id"`
-	Score float32 `json:"score"`
-}
-
-type searchResponse struct {
-	Results [][]searchResult `json:"results"`
-	// Simulated-accelerator cost, present for backend "anna".
-	Cycles       int64   `json:"cycles,omitempty"`
-	TrafficBytes int64   `json:"traffic_bytes,omitempty"`
-	ChipEnergyJ  float64 `json:"chip_energy_j,omitempty"`
-}
-
 // admit reserves an in-flight slot, or reports overload.
 func (s *Server) admit() bool {
 	if s.MaxInFlight <= 0 {
@@ -858,10 +765,6 @@ func (s *Server) admit() bool {
 	return true
 }
 
-// requestIDHeader carries the query ID: echoed back when the client
-// sets it (which also forces a trace), generated otherwise.
-const requestIDHeader = "X-Request-ID"
-
 // searchScratch is the pooled per-request working set of handleSearch:
 // the decoded request (inner query buffers included), the cache-key
 // buffer, the per-query row table, and the response arena. Everything
@@ -869,35 +772,35 @@ const requestIDHeader = "X-Request-ID"
 // and cache copy queries; the response is encoded before the handler
 // returns), so the whole set recycles alloc-free.
 type searchScratch struct {
-	req    searchRequest
+	req    front.SearchRequest
 	key    []byte
 	rows   []servedRow
 	miss   [][]float32
 	missAt []int
-	out    [][]searchResult
-	arena  []searchResult
+	out    [][]front.SearchResult
+	arena  []front.SearchResult
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // appendResults builds the response rows in sc's pooled arena.
-func appendResults(sc *searchScratch, rows []servedRow) [][]searchResult {
+func appendResults(sc *searchScratch, rows []servedRow) [][]front.SearchResult {
 	total := 0
 	for _, r := range rows {
 		total += len(r.res)
 	}
 	if cap(sc.arena) < total {
-		sc.arena = make([]searchResult, 0, total)
+		sc.arena = make([]front.SearchResult, 0, total)
 	}
 	arena := sc.arena[:0]
 	if cap(sc.out) < len(rows) {
-		sc.out = make([][]searchResult, len(rows))
+		sc.out = make([][]front.SearchResult, len(rows))
 	}
 	out := sc.out[:len(rows)]
 	for i, r := range rows {
 		lo := len(arena)
 		for _, res := range r.res {
-			arena = append(arena, searchResult{ID: res.ID, Score: res.Score})
+			arena = append(arena, front.SearchResult{ID: res.ID, Score: res.Score})
 		}
 		out[i] = arena[lo:len(arena):len(arena)]
 	}
@@ -907,7 +810,7 @@ func appendResults(sc *searchScratch, rows []servedRow) [][]searchResult {
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if !s.admit() {
@@ -917,9 +820,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		}
 		s.m.rejected.Inc()
 		s.m.rejectDepth.Observe(float64(depth))
-		retry := retryAfterJitter()
+		retry := qos.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.writeJSONStatus(w, http.StatusTooManyRequests, map[string]any{
+		s.front.WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":               fmt.Sprintf("server at max in-flight (%d); retry later", s.MaxInFlight),
 			"queue_depth":         depth,
 			"retry_after_seconds": retry,
@@ -934,7 +837,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// the parent names which hop span it hangs under. Both parses are
 	// allocation-free on the common (absent-header) path.
 	wireID, wireParent := trace.ParseWire(r.Header.Get(trace.HeaderWire))
-	reqID := r.Header.Get(requestIDHeader)
+	reqID := r.Header.Get(trace.HeaderRequestID)
 	if reqID == "" {
 		reqID = wireID
 	}
@@ -942,7 +845,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !tagged {
 		reqID = trace.NewID()
 	}
-	w.Header().Set(requestIDHeader, reqID)
+	w.Header().Set(trace.HeaderRequestID, reqID)
 	tnt := s.tenantFor(r)
 
 	sc := scratchPool.Get().(*searchScratch)
@@ -954,15 +857,15 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req.Queries = req.Queries[:0]
 	req.W, req.K, req.Backend = 0, 0, ""
 	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		s.front.Error(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Queries) == 0 {
-		s.httpError(w, http.StatusBadRequest, "no queries")
+		s.front.Error(w, http.StatusBadRequest, "no queries")
 		return
 	}
 	if len(req.Queries) > s.MaxBatch {
-		s.httpError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), s.MaxBatch)
+		s.front.Error(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(req.Queries), s.MaxBatch)
 		return
 	}
 	if req.W <= 0 {
@@ -986,9 +889,9 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.m.reg.Counter("anna_throttled_requests_total",
 			"Requests rejected by per-tenant token-bucket quota.",
 			metrics.Label{Key: "tenant", Value: tnt.Name}).Inc()
-		retry := retryAfterJitter()
+		retry := qos.RetryAfterSeconds()
 		w.Header().Set("Retry-After", strconv.Itoa(retry))
-		s.writeJSONStatus(w, http.StatusTooManyRequests, map[string]any{
+		s.front.WriteJSON(w, http.StatusTooManyRequests, map[string]any{
 			"error":               fmt.Sprintf("tenant %q over quota; retry later", tnt.Name),
 			"retry_after_seconds": retry,
 		})
@@ -999,20 +902,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	// rest pay one atomic add to roll the 1-in-N sample. The untraced
 	// path allocates nothing here (benchmark-pinned in internal/trace).
 	rec := s.tracer()
-	var tr *trace.Trace
-	if tagged || rec.ShouldSample() {
-		tr = trace.New(reqID)
-		tr.Start = start
-		tr.Parent = wireParent
+	newTrace := func() *trace.Trace {
+		tr := trace.New(reqID)
+		tr.Start, tr.Parent = start, wireParent
 		tr.Queries, tr.W, tr.K, tr.Backend = len(req.Queries), req.W, req.K, backend
 		if tnt != nil {
 			tr.Tenant = tnt.Name
 		}
+		return tr
 	}
-	// finish closes out a live trace with the response status. Slow
-	// untraced requests are reconstructed after the fact in the
-	// backend arms below — only requests that already proved slow pay
-	// that cost.
+	var tr *trace.Trace
+	if tagged || rec.ShouldSample() {
+		tr = newTrace()
+	}
+	// finish closes out a live trace with the response status.
 	finish := func(status int) {
 		if tr != nil {
 			tr.Finish(status)
@@ -1032,14 +935,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		ctx = trace.NewContext(ctx, tr)
 	}
 
-	var resp searchResponse
+	var resp front.SearchResponse
+	// What ran, for the trace stamp below: a row of the software engine
+	// batch (nil when every query hit the cache), how the batcher
+	// coalesced it, or the simulator's time.
+	var ran *servedRow
+	var coalesced qos.BatchInfo
+	var simDur time.Duration
 	switch req.Backend {
 	case "", "software":
 		dim := s.idx.Dim()
 		for i, q := range req.Queries {
 			if len(q) != dim {
 				finish(http.StatusBadRequest)
-				s.httpError(w, http.StatusBadRequest, "query %d dim %d, index dim %d", i, len(q), dim)
+				s.front.Error(w, http.StatusBadRequest, "query %d dim %d, index dim %d", i, len(q), dim)
 				return
 			}
 		}
@@ -1064,12 +973,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			missAt = append(missAt, i)
 		}
 		sc.miss, sc.missAt = miss, missAt
-		switch {
-		case len(miss) == 0:
-			if tr != nil {
-				tr.CacheHit = true
-			}
-		default:
+		if len(miss) > 0 {
 			if b := s.batcher.Load(); b != nil && nq == 1 && len(miss) == 1 && tr == nil {
 				// Single-query requests ride the dynamic batcher so
 				// concurrent traffic shares one ClusterMajor engine run.
@@ -1083,53 +987,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				row, info, err := b.Submit(ctx, tname, lane, weight, miss[0], req.W, req.K)
 				if err != nil {
 					finish(searchErrStatus(err))
-					s.httpError(w, searchErrStatus(err), "search: %v", err)
+					s.front.Error(w, searchErrStatus(err), "search: %v", err)
 					return
 				}
 				rows[missAt[0]] = row
-				if rec.IsSlow(time.Since(start)) {
-					tr = s.slowTrace(reqID, start, req, backend)
-					tr.Tenant = tname
-					tr.Batch = info.Size
-					tr.AddSpan("coalesce", info.Wait)
-					// Stage spans of the engine batch the query rode in.
-					tr.AddSpan("select", row.sel)
-					tr.AddSpan("scan", row.scan)
-					if row.rerank > 0 {
-						tr.AddSpan("rerank", row.rerank)
-					}
-					tr.AddSpan("merge", row.merge)
-					tr.Scanned = row.scanned
-					tr.ClustersScanned = row.clusters
-					tr.Escalated = row.escalated
-					tr.Effort = row.effort
-				}
+				coalesced = info
 			} else {
-				mrows, rep, err := s.searchLocked(ctx, miss, req.W, req.K)
+				mrows, err := s.searchLocked(ctx, miss, req.W, req.K)
 				if err != nil {
 					finish(searchErrStatus(err))
-					s.httpError(w, searchErrStatus(err), "search: %v", err)
+					s.front.Error(w, searchErrStatus(err), "search: %v", err)
 					return
 				}
 				for j, at := range missAt {
 					rows[at] = mrows[j]
 				}
-				if tr == nil && rec.IsSlow(time.Since(start)) {
-					tr = s.slowTrace(reqID, start, req, backend)
-					if tnt != nil {
-						tr.Tenant = tnt.Name
-					}
-					tr.AddSpan("select", rep.SelectTime)
-					tr.AddSpan("scan", rep.ScanTime)
-					if rep.RerankTime > 0 {
-						tr.AddSpan("rerank", rep.RerankTime)
-					}
-					tr.AddSpan("merge", rep.MergeTime)
-					tr.Scanned = rep.ScannedVectors
-					tr.ClustersScanned = rep.ClustersScanned
-					tr.Escalated = rep.Escalations
-				}
 			}
+			ran = &rows[missAt[0]]
 			if cache != nil {
 				for _, at := range missAt {
 					q := req.Queries[at]
@@ -1138,36 +1012,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 		}
-		// Live traces get clusters_scanned/escalated attached inside the
-		// engine (via the trace context); the effort level is a serving
-		// concern, stamped here.
-		if tr != nil {
-			if _, eff, ok := s.adaptiveKnobs(); ok {
-				tr.Effort = eff
-			}
-		}
 		resp.Results = appendResults(sc, rows)
 	case "anna":
 		if s.Accelerator == nil {
 			finish(http.StatusBadRequest)
-			s.httpError(w, http.StatusBadRequest, "no accelerator configured on this server")
+			s.front.Error(w, http.StatusBadRequest, "no accelerator configured on this server")
 			return
 		}
 		simStart := time.Now()
 		s.mu.RLock()
 		rep, err := s.Accelerator.Simulate(req.Queries, SimParams{W: req.W, K: req.K})
 		s.mu.RUnlock()
-		simDur := time.Since(simStart)
+		simDur = time.Since(simStart)
 		if err != nil {
 			finish(http.StatusBadRequest)
-			s.httpError(w, http.StatusBadRequest, "simulating: %v", err)
+			s.front.Error(w, http.StatusBadRequest, "simulating: %v", err)
 			return
-		}
-		if tr == nil && rec.IsSlow(time.Since(start)) {
-			tr = s.slowTrace(reqID, start, req, backend)
-		}
-		if tr != nil {
-			tr.AddSpan("simulate", simDur)
 		}
 		resp.Results = toSearchResults(rep.Results)
 		resp.Cycles = rep.Cycles
@@ -1175,20 +1035,51 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		resp.ChipEnergyJ = rep.ChipEnergyJ
 	default:
 		finish(http.StatusBadRequest)
-		s.httpError(w, http.StatusBadRequest, "unknown backend %q", req.Backend)
+		s.front.Error(w, http.StatusBadRequest, "unknown backend %q", req.Backend)
 		return
 	}
+
+	// Serving-side trace stamps, in one place. A request that missed
+	// sampling but proved slow is traced after the fact — only such
+	// requests pay that cost — from what its engine batch reported; a
+	// live trace got the engine's spans and counters through ctx.
+	if tr == nil && rec.IsSlow(time.Since(start)) {
+		tr = newTrace()
+		if ran != nil {
+			stampBatch(tr, ran, coalesced)
+		}
+	}
+	if tr != nil {
+		if backend == "anna" {
+			tr.AddSpan("simulate", simDur)
+		} else {
+			tr.CacheHit = ran == nil
+			if _, eff, ok := s.adaptiveKnobs(); ok {
+				tr.Effort = eff
+			}
+		}
+	}
 	finish(http.StatusOK)
-	s.writeJSON(w, resp)
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }
 
-// slowTrace reconstructs a trace for a request that missed sampling but
-// crossed the slow threshold.
-func (s *Server) slowTrace(id string, start time.Time, req *searchRequest, backend string) *trace.Trace {
-	tr := trace.New(id)
-	tr.Start = start
-	tr.Queries, tr.W, tr.K, tr.Backend = len(req.Queries), req.W, req.K, backend
-	return tr
+// stampBatch attaches to an after-the-fact trace what the engine batch
+// that produced row reported: how the batcher coalesced the query (when
+// it did), the stage spans, and the scan counters.
+func stampBatch(tr *trace.Trace, row *servedRow, coalesced qos.BatchInfo) {
+	if coalesced.Size > 0 {
+		tr.Batch = coalesced.Size
+		tr.AddSpan("coalesce", coalesced.Wait)
+	}
+	tr.AddSpan("select", row.sel)
+	tr.AddSpan("scan", row.scan)
+	if row.rerank > 0 {
+		tr.AddSpan("rerank", row.rerank)
+	}
+	tr.AddSpan("merge", row.merge)
+	tr.Scanned = row.scanned
+	tr.ClustersScanned = row.clusters
+	tr.Escalated = row.escalated
 }
 
 // handleDebugQueries serves the recent trace buffer, slowest first, so
@@ -1196,7 +1087,7 @@ func (s *Server) slowTrace(id string, start time.Time, req *searchRequest, backe
 // bounds the response (default all buffered).
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	traces := s.tracer().Snapshot()
@@ -1205,7 +1096,7 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		traces = traces[:n]
 	}
 	total, slow := s.tracer().Recorded()
-	s.writeJSON(w, map[string]any{
+	s.front.WriteJSON(w, http.StatusOK, map[string]any{
 		"recorded_total": total,
 		"slow_total":     slow,
 		"count":          len(traces),
@@ -1217,16 +1108,16 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 // the ring.
 func (s *Server) handleDebugTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	id := r.PathValue("id")
 	t := s.tracer().Get(id)
 	if t == nil {
-		s.httpError(w, http.StatusNotFound, "no buffered trace with id %q (evicted or never traced)", id)
+		s.front.Error(w, http.StatusNotFound, "no buffered trace with id %q (evicted or never traced)", id)
 		return
 	}
-	s.writeJSON(w, t)
+	s.front.WriteJSON(w, http.StatusOK, t)
 }
 
 // recordSearch feeds one software-backend batch report into the metrics.
@@ -1246,46 +1137,37 @@ func (s *Server) recordSearch(nq int, rep *BatchReport, adaptOn bool) {
 	}
 }
 
-func toSearchResults(in [][]Result) [][]searchResult {
-	out := make([][]searchResult, len(in))
+func toSearchResults(in [][]Result) [][]front.SearchResult {
+	out := make([][]front.SearchResult, len(in))
 	for i, rs := range in {
-		row := make([]searchResult, len(rs))
+		row := make([]front.SearchResult, len(rs))
 		for j, res := range rs {
-			row[j] = searchResult{ID: res.ID, Score: res.Score}
+			row[j] = front.SearchResult{ID: res.ID, Score: res.Score}
 		}
 		out[i] = row
 	}
 	return out
 }
 
-type addRequest struct {
-	Vectors [][]float32 `json:"vectors"`
-}
-
-type addResponse struct {
-	FirstID int64 `json:"first_id"`
-	Count   int   `json:"count"`
-}
-
 func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req addRequest
+	var req front.AddRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "decoding request: %v", err)
+		s.front.Error(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}
 	if len(req.Vectors) == 0 {
-		s.httpError(w, http.StatusBadRequest, "no vectors")
+		s.front.Error(w, http.StatusBadRequest, "no vectors")
 		return
 	}
 	// Validate before taking the write lock: a bad vector must not stall
 	// in-flight searches, and NaN/Inf would silently poison k-means
 	// assignment and PQ codes.
 	if err := validateAddVectors(req.Vectors, s.idx.Dim()); err != nil {
-		s.httpError(w, http.StatusBadRequest, "%v", err)
+		s.front.Error(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	s.mu.Lock()
@@ -1301,7 +1183,7 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			s.mu.Unlock()
-			s.httpError(w, http.StatusInternalServerError, "wal append: %v", err)
+			s.front.Error(w, http.StatusInternalServerError, "wal append: %v", err)
 			return
 		}
 	}
@@ -1317,16 +1199,16 @@ func (s *Server) handleAdd(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.Unlock()
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "add: %v", err)
+		s.front.Error(w, http.StatusBadRequest, "add: %v", err)
 		return
 	}
 	s.m.added.Add(uint64(len(req.Vectors)))
-	s.writeJSON(w, addResponse{FirstID: first, Count: len(req.Vectors)})
+	s.front.WriteJSON(w, http.StatusOK, front.AddResponse{FirstID: first, Count: len(req.Vectors)})
 
 	if s.Store != nil && s.SnapshotEvery > 0 &&
 		s.addedSince.Add(int64(len(req.Vectors))) >= int64(s.SnapshotEvery) {
 		if err := s.snapshotNow(); err != nil {
-			s.slogger().Error("auto-snapshot failed", "err", err)
+			s.front.Log.Error("auto-snapshot failed", "err", err)
 		}
 	}
 }
@@ -1358,21 +1240,21 @@ type snapshotResponse struct {
 // lets operators (or a cron job) checkpoint under load.
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		s.httpError(w, http.StatusMethodNotAllowed, "POST required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
 	if s.Store == nil {
-		s.httpError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
+		s.front.Error(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
 		return
 	}
 	if err := s.snapshotNow(); err != nil {
-		s.httpError(w, http.StatusInternalServerError, "snapshot: %v", err)
+		s.front.Error(w, http.StatusInternalServerError, "snapshot: %v", err)
 		return
 	}
 	s.mu.RLock()
 	n := s.idx.Len()
 	s.mu.RUnlock()
-	s.writeJSON(w, snapshotResponse{
+	s.front.WriteJSON(w, http.StatusOK, snapshotResponse{
 		Vectors:    n,
 		WALRecords: int64(s.Store.WALRecords()),
 		WALBytes:   s.Store.WALSize(),
@@ -1395,11 +1277,11 @@ const (
 // which makes the (state, epoch, seq) triple consistent.
 func (s *Server) handleAdminState(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	if s.Store == nil {
-		s.httpError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
+		s.front.Error(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
 		return
 	}
 	s.mu.RLock()
@@ -1408,7 +1290,7 @@ func (s *Server) handleAdminState(w http.ResponseWriter, r *http.Request) {
 	err := s.idx.Save(&buf)
 	s.mu.RUnlock()
 	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, "serializing state: %v", err)
+		s.front.Error(w, http.StatusInternalServerError, "serializing state: %v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -1429,21 +1311,21 @@ func (s *Server) handleAdminState(w http.ResponseWriter, r *http.Request) {
 // re-bootstrap from /admin/state.
 func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	if s.Store == nil {
-		s.httpError(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
+		s.front.Error(w, http.StatusServiceUnavailable, "no durable store configured (run annaserve with -data)")
 		return
 	}
 	epoch, err := strconv.ParseInt(r.URL.Query().Get("epoch"), 10, 64)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad epoch: %v", err)
+		s.front.Error(w, http.StatusBadRequest, "bad epoch: %v", err)
 		return
 	}
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad from: %v", err)
+		s.front.Error(w, http.StatusBadRequest, "bad from: %v", err)
 		return
 	}
 	// TailWAL assembles the frames under the store lock and writes them
@@ -1452,10 +1334,10 @@ func (s *Server) handleWALTail(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	if err := s.Store.TailWAL(w, epoch, from); err != nil {
 		if errors.Is(err, ErrTailGone) {
-			s.httpError(w, http.StatusGone, "tail position gone; re-bootstrap from /admin/state")
+			s.front.Error(w, http.StatusGone, "tail position gone; re-bootstrap from /admin/state")
 			return
 		}
-		s.httpError(w, http.StatusInternalServerError, "reading tail: %v", err)
+		s.front.Error(w, http.StatusInternalServerError, "reading tail: %v", err)
 		return
 	}
 }
@@ -1479,7 +1361,7 @@ func validateAddVectors(vectors [][]float32, dim int) error {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		s.httpError(w, http.StatusMethodNotAllowed, "GET required")
+		s.front.Error(w, http.StatusMethodNotAllowed, "GET required")
 		return
 	}
 	s.mu.RLock()
@@ -1531,7 +1413,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp["adaptive"] = ad
 	}
 	// Serving latency quantiles, once there is traffic to summarise.
-	if h := s.m.reqDuration["search"]; h.Count() > 0 {
+	if h := s.front.Duration("search"); h.Count() > 0 {
 		resp["search_latency_seconds"] = map[string]any{
 			"count": h.Count(),
 			"p50":   h.Quantile(0.50),
@@ -1539,31 +1421,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"p99":   h.Quantile(0.99),
 		}
 	}
-	s.writeJSON(w, resp)
-}
-
-// writeJSON sends v with a 200. The Content-Type header is set before
-// the status line goes out (headers are immutable afterwards), and
-// encode failures — a closed connection, an unmarshalable value — are
-// logged rather than swallowed.
-func (s *Server) writeJSON(w http.ResponseWriter, v any) {
-	s.writeJSONStatus(w, http.StatusOK, v)
-}
-
-// writeJSONStatus sends v with an explicit status code (the 429 paths
-// attach structured bodies — queue depth, retry hints — to non-200s).
-func (s *Server) writeJSONStatus(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.slogger().Error("encoding response failed", "err", err)
-	}
-}
-
-func (s *Server) httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)}); err != nil {
-		s.slogger().Error("encoding error response failed", "err", err)
-	}
+	s.front.WriteJSON(w, http.StatusOK, resp)
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"anna/internal/adaptive"
+	"anna/internal/front"
 )
 
 // Static adaptive policy: searches succeed, the effort instruments are
@@ -24,11 +25,11 @@ func TestServerAdaptiveStaticPolicy(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	for _, q := range queries[:4] {
-		resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{q}, K: 10})
+		resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{q}, K: 10})
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", resp.StatusCode)
 		}
-		var out searchResponse
+		var out front.SearchResponse
 		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestServerAdaptiveStaticPolicy(t *testing.T) {
 		}
 	}
 	// A pinned W still terminates early; results stay valid.
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[3]}, W: 24, K: 5})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[3]}, W: 24, K: 5})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pinned-W status %d", resp.StatusCode)
 	}
@@ -182,7 +183,7 @@ func TestServerRecallTargetConvergence(t *testing.T) {
 	for time.Now().Before(deadline) && stable < 3 {
 		before := s.effort.Load()
 		for _, q := range queries {
-			resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{q}, K: 10})
+			resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{q}, K: 10})
 			if resp.StatusCode != http.StatusOK {
 				t.Fatalf("status %d", resp.StatusCode)
 			}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/front"
 	"anna/internal/metrics"
 	"anna/internal/qos"
 )
@@ -36,14 +37,14 @@ func postJSONHdr(t *testing.T, url string, body any, hdr map[string]string) *htt
 	return resp
 }
 
-func searchOne(t *testing.T, url string, q []float32, w, k int) []searchResult {
+func searchOne(t *testing.T, url string, q []float32, w, k int) []front.SearchResult {
 	t.Helper()
-	resp := postJSON(t, url+"/search", searchRequest{Queries: [][]float32{q}, W: w, K: k})
+	resp := postJSON(t, url+"/search", front.SearchRequest{Queries: [][]float32{q}, W: w, K: k})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search status %d", resp.StatusCode)
 	}
-	var out searchResponse
+	var out front.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestBatchedServingBitExact(t *testing.T) {
 	ref.BatchWindow, ref.CacheSize = -1, -1
 	refTS := httptest.NewServer(ref.Handler())
 	defer refTS.Close()
-	want := make([][]searchResult, len(queries))
+	want := make([][]front.SearchResult, len(queries))
 	for i, q := range queries {
 		want[i] = searchOne(t, refTS.URL, q, 16, 10)
 	}
@@ -80,7 +81,7 @@ func TestBatchedServingBitExact(t *testing.T) {
 			// these coalesce into shared engine batches.
 			const n = 64
 			var wg sync.WaitGroup
-			got := make([][]searchResult, n)
+			got := make([][]front.SearchResult, n)
 			for i := 0; i < n; i++ {
 				wg.Add(1)
 				go func(i int) {
@@ -135,8 +136,8 @@ func TestResultCacheInvalidatedByAdd(t *testing.T) {
 	// Ingest the query vector itself: the exact duplicate must now
 	// appear in the results, so serving the cached pre-add row would be
 	// a visible staleness bug.
-	resp := postJSON(t, ts.URL+"/add", addRequest{Vectors: [][]float32{q}})
-	var added addResponse
+	resp := postJSON(t, ts.URL+"/add", front.AddRequest{Vectors: [][]float32{q}})
+	var added front.AddResponse
 	if err := json.NewDecoder(resp.Body).Decode(&added); err != nil {
 		t.Fatal(err)
 	}
@@ -185,8 +186,8 @@ func TestConcurrentSearchAddUnderBatcher(t *testing.T) {
 	}
 	var lastID int64
 	for i := 0; i < len(extra); i++ {
-		resp := postJSON(t, ts.URL+"/add", addRequest{Vectors: [][]float32{extra[i]}})
-		var added addResponse
+		resp := postJSON(t, ts.URL+"/add", front.AddRequest{Vectors: [][]float32{extra[i]}})
+		var added front.AddResponse
 		if err := json.NewDecoder(resp.Body).Decode(&added); err != nil {
 			t.Fatal(err)
 		}
@@ -222,7 +223,7 @@ func TestSearchAllocsPerRequest(t *testing.T) {
 	s.CacheSize = -1
 	h := s.Handler()
 
-	body, err := json.Marshal(searchRequest{Queries: [][]float32{base[3]}, W: 8, K: 5})
+	body, err := json.Marshal(front.SearchRequest{Queries: [][]float32{base[3]}, W: 8, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestSearchAllocsCacheHit(t *testing.T) {
 	s.BatchWindow = -1
 	h := s.Handler()
 
-	body, err := json.Marshal(searchRequest{Queries: [][]float32{base[3]}, W: 8, K: 5})
+	body, err := json.Marshal(front.SearchRequest{Queries: [][]float32{base[3]}, W: 8, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestOverloadResponseShape(t *testing.T) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[0]}})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[0]}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
@@ -320,7 +321,7 @@ func TestTenantQuota(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Tenants = tenants
-	body := searchRequest{Queries: [][]float32{base[0]}}
+	body := front.SearchRequest{Queries: [][]float32{base[0]}}
 
 	for i := 0; i < 2; i++ {
 		resp := postJSONHdr(t, ts.URL+"/search", body, map[string]string{"X-API-Key": "key-slow"})
@@ -368,9 +369,9 @@ func TestMultiQueryPartialCacheHits(t *testing.T) {
 	searchOne(t, ts.URL, qs[0], 16, 5)
 	searchOne(t, ts.URL, qs[2], 16, 5)
 
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: qs, W: 16, K: 5})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: qs, W: 16, K: 5})
 	defer resp.Body.Close()
-	var out searchResponse
+	var out front.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}

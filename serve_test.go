@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/front"
 	"anna/internal/wal"
 )
 
@@ -39,14 +40,14 @@ func postJSON(t *testing.T, url string, body any) *http.Response {
 
 func TestServerSearch(t *testing.T) {
 	_, ts, base := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/search", searchRequest{
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{
 		Queries: [][]float32{base[5]}, W: 24, K: 3,
 	})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out searchResponse
+	var out front.SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +69,12 @@ func TestServerSearch(t *testing.T) {
 
 func TestServerSearchDefaults(t *testing.T) {
 	_, ts, base := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[0]}})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[0]}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out searchResponse
+	var out front.SearchResponse
 	json.NewDecoder(resp.Body).Decode(&out)
 	if len(out.Results[0]) != 10 { // DefaultK
 		t.Errorf("%d results with defaults", len(out.Results[0]))
@@ -87,11 +88,11 @@ func TestServerSearchErrors(t *testing.T) {
 		body any
 		code int
 	}{
-		{"empty", searchRequest{}, http.StatusBadRequest},
-		{"wrong dim", searchRequest{Queries: [][]float32{{1, 2}}}, http.StatusBadRequest},
-		{"oversized batch", func() searchRequest {
+		{"empty", front.SearchRequest{}, http.StatusBadRequest},
+		{"wrong dim", front.SearchRequest{Queries: [][]float32{{1, 2}}}, http.StatusBadRequest},
+		{"oversized batch", func() front.SearchRequest {
 			s.MaxBatch = 2
-			return searchRequest{Queries: [][]float32{base[0], base[1], base[2]}}
+			return front.SearchRequest{Queries: [][]float32{base[0], base[1], base[2]}}
 		}(), http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -124,23 +125,23 @@ func TestServerSearchErrors(t *testing.T) {
 func TestServerAddThenSearch(t *testing.T) {
 	_, ts, _ := newTestServer(t)
 	newVecs := clusteredVectors(10, 32, 24, 77)
-	resp := postJSON(t, ts.URL+"/add", addRequest{Vectors: newVecs})
+	resp := postJSON(t, ts.URL+"/add", front.AddRequest{Vectors: newVecs})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("add status %d", resp.StatusCode)
 	}
-	var added addResponse
+	var added front.AddResponse
 	json.NewDecoder(resp.Body).Decode(&added)
 	if added.Count != 10 || added.FirstID != 3000 {
 		t.Fatalf("add response %+v", added)
 	}
 
 	// The added vector is now searchable.
-	sr := postJSON(t, ts.URL+"/search", searchRequest{
+	sr := postJSON(t, ts.URL+"/search", front.SearchRequest{
 		Queries: [][]float32{newVecs[0]}, W: 24, K: 5,
 	})
 	defer sr.Body.Close()
-	var out searchResponse
+	var out front.SearchResponse
 	json.NewDecoder(sr.Body).Decode(&out)
 	found := false
 	for _, r := range out.Results[0] {
@@ -190,14 +191,14 @@ func TestServerAcceleratorBackend(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	resp := postJSON(t, ts.URL+"/search", searchRequest{
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{
 		Queries: [][]float32{base[3]}, W: 6, K: 5, Backend: "anna",
 	})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out searchResponse
+	var out front.SearchResponse
 	json.NewDecoder(resp.Body).Decode(&out)
 	if len(out.Results) != 1 || len(out.Results[0]) != 5 {
 		t.Fatalf("shape %+v", out.Results)
@@ -207,7 +208,7 @@ func TestServerAcceleratorBackend(t *testing.T) {
 	}
 
 	// Unknown backend and missing accelerator both error.
-	bad := postJSON(t, ts.URL+"/search", searchRequest{
+	bad := postJSON(t, ts.URL+"/search", front.SearchRequest{
 		Queries: [][]float32{base[0]}, Backend: "gpu",
 	})
 	bad.Body.Close()
@@ -215,7 +216,7 @@ func TestServerAcceleratorBackend(t *testing.T) {
 		t.Errorf("unknown backend status %d", bad.StatusCode)
 	}
 	s.Accelerator = nil
-	noacc := postJSON(t, ts.URL+"/search", searchRequest{
+	noacc := postJSON(t, ts.URL+"/search", front.SearchRequest{
 		Queries: [][]float32{base[0]}, Backend: "anna",
 	})
 	noacc.Body.Close()
@@ -228,7 +229,7 @@ func TestServerAcceleratorBackend(t *testing.T) {
 // saturation gauges and the per-handler request series.
 func TestServerMetricsEndpoint(t *testing.T) {
 	_, ts, base := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/search", searchRequest{
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{
 		Queries: [][]float32{base[0], base[1]}, W: 8, K: 5,
 	})
 	resp.Body.Close()
@@ -287,7 +288,7 @@ func TestServerOverload(t *testing.T) {
 	s, ts, base := newTestServer(t)
 	s.MaxInFlight = 1
 	s.inflight.Add(1) // occupy the only slot
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[0]}})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[0]}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("saturated status %d, want 429", resp.StatusCode)
@@ -300,7 +301,7 @@ func TestServerOverload(t *testing.T) {
 	}
 
 	s.inflight.Add(-1) // release
-	ok := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[0]}})
+	ok := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[0]}})
 	ok.Body.Close()
 	if ok.StatusCode != http.StatusOK {
 		t.Errorf("freed-slot status %d, want 200", ok.StatusCode)
@@ -312,7 +313,7 @@ func TestServerOverload(t *testing.T) {
 func TestServerSearchTimeout(t *testing.T) {
 	s, ts, base := newTestServer(t)
 	s.SearchTimeout = time.Nanosecond
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[0]}})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[0]}})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
@@ -330,8 +331,8 @@ func TestServerAddValidation(t *testing.T) {
 		name string
 		body any
 	}{
-		{"empty", addRequest{}},
-		{"wrong dim", addRequest{Vectors: [][]float32{{1, 2, 3}}}},
+		{"empty", front.AddRequest{}},
+		{"wrong dim", front.AddRequest{Vectors: [][]float32{{1, 2, 3}}}},
 	} {
 		resp := postJSON(t, ts.URL+"/add", tc.body)
 		resp.Body.Close()
@@ -385,7 +386,7 @@ func TestServerPprof(t *testing.T) {
 // /stats reports serving latency quantiles once traffic has flowed.
 func TestServerStatsLatencySummary(t *testing.T) {
 	_, ts, base := newTestServer(t)
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{base[0]}})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{base[0]}})
 	resp.Body.Close()
 	st, err := http.Get(ts.URL + "/stats")
 	if err != nil {
@@ -417,13 +418,13 @@ func TestServerConcurrentAccess(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			if i%4 == 0 {
-				resp := postJSON(t, ts.URL+"/add", addRequest{
+				resp := postJSON(t, ts.URL+"/add", front.AddRequest{
 					Vectors: clusteredVectors(5, 32, 24, int64(i)),
 				})
 				resp.Body.Close()
 				return
 			}
-			resp := postJSON(t, ts.URL+"/search", searchRequest{
+			resp := postJSON(t, ts.URL+"/search", front.SearchRequest{
 				Queries: [][]float32{base[i]}, W: 8, K: 5,
 			})
 			resp.Body.Close()
@@ -474,7 +475,7 @@ func TestReadyzFlipsAfterRecovery(t *testing.T) {
 	if got := get("/readyz").StatusCode; got != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz before recovery: %d, want 503", got)
 	}
-	resp := postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{make([]float32, 8)}})
+	resp := postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{make([]float32, 8)}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("/search before recovery: %d, want 503", resp.StatusCode)
@@ -502,7 +503,7 @@ func TestReadyzFlipsAfterRecovery(t *testing.T) {
 	if got := get("/readyz").StatusCode; got != http.StatusOK {
 		t.Fatalf("/readyz after recovery: %d, want 200", got)
 	}
-	resp = postJSON(t, ts.URL+"/search", searchRequest{Queries: [][]float32{make([]float32, 8)}, K: 3})
+	resp = postJSON(t, ts.URL+"/search", front.SearchRequest{Queries: [][]float32{make([]float32, 8)}, K: 3})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/search after recovery: %d", resp.StatusCode)

@@ -10,12 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"anna/internal/front"
 	"anna/internal/trace"
 )
 
 // postSearch sends a /search with an optional X-Request-ID and returns
 // the response.
-func postSearch(t *testing.T, url string, body searchRequest, reqID string) *http.Response {
+func postSearch(t *testing.T, url string, body front.SearchRequest, reqID string) *http.Response {
 	t.Helper()
 	b, err := json.Marshal(body)
 	if err != nil {
@@ -42,7 +43,7 @@ func postSearch(t *testing.T, url string, body searchRequest, reqID string) *htt
 func TestSearchRequestIDTraceRoundTrip(t *testing.T) {
 	_, ts, base := newTestServer(t)
 
-	resp := postSearch(t, ts.URL, searchRequest{Queries: [][]float32{base[3]}, W: 24, K: 5}, "req-abc-123")
+	resp := postSearch(t, ts.URL, front.SearchRequest{Queries: [][]float32{base[3]}, W: 24, K: 5}, "req-abc-123")
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -96,7 +97,7 @@ func TestSearchGeneratedRequestID(t *testing.T) {
 	s, ts, base := newTestServer(t)
 	s.TraceSampleEvery = -1 // only explicit X-Request-ID requests trace
 
-	resp := postSearch(t, ts.URL, searchRequest{Queries: [][]float32{base[0]}}, "")
+	resp := postSearch(t, ts.URL, front.SearchRequest{Queries: [][]float32{base[0]}}, "")
 	defer resp.Body.Close()
 	id := resp.Header.Get("X-Request-ID")
 	if id == "" {
@@ -119,7 +120,7 @@ func TestDebugQueriesSampledSlowestFirst(t *testing.T) {
 	s.TraceSampleEvery = 1
 
 	for i := 0; i < 5; i++ {
-		resp := postSearch(t, ts.URL, searchRequest{Queries: [][]float32{base[i]}}, "")
+		resp := postSearch(t, ts.URL, front.SearchRequest{Queries: [][]float32{base[i]}}, "")
 		resp.Body.Close()
 	}
 	dq := getDebugQueries(t, ts.URL, "")
@@ -143,7 +144,7 @@ func TestSlowQueryAutoTrace(t *testing.T) {
 	s.TraceSampleEvery = -1
 	s.SlowQuery = time.Nanosecond // everything is slow
 
-	resp := postSearch(t, ts.URL, searchRequest{Queries: [][]float32{base[1]}}, "")
+	resp := postSearch(t, ts.URL, front.SearchRequest{Queries: [][]float32{base[1]}}, "")
 	defer resp.Body.Close()
 	id := resp.Header.Get("X-Request-ID")
 	tr := getTrace(t, ts.URL, id)
@@ -178,7 +179,7 @@ func TestServerRecallEstimatorConvergence(t *testing.T) {
 		nq = 64
 	}
 	for i := 0; i < nq; i++ {
-		resp := postSearch(t, ts.URL, searchRequest{Queries: [][]float32{queries[i]}, W: w, K: 10}, "")
+		resp := postSearch(t, ts.URL, front.SearchRequest{Queries: [][]float32{queries[i]}, W: w, K: 10}, "")
 		resp.Body.Close()
 	}
 	waitProcessed(t, est)
@@ -239,7 +240,7 @@ func TestShadowRerankNeverBlocksServing(t *testing.T) {
 
 	start := time.Now()
 	for i := 0; i < 20; i++ {
-		resp := postSearch(t, ts.URL, searchRequest{Queries: [][]float32{queries[i%len(queries)]}, W: 8, K: 10}, "")
+		resp := postSearch(t, ts.URL, front.SearchRequest{Queries: [][]float32{queries[i%len(queries)]}, W: 8, K: 10}, "")
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("request %d: status %d", i, resp.StatusCode)
 		}
