@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-noasm race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
+.PHONY: all build test test-noasm test-v3 race check bench benchall vet fmt fmt-check bench-smoke fuzz-smoke ci ci-cross cluster-integration lint examples experiments clean
 
 all: build vet test
 
@@ -20,6 +20,12 @@ test-noasm:
 	$(GO) test -tags noasm ./...
 	ANNA_NOSIMD=1 $(GO) test ./internal/simd/ ./internal/vecmath/ ./internal/pq/ ./internal/ivf/ ./internal/engine/
 
+# The CI test job's fourth pass: the kernel packages compiled for
+# x86-64-v3, where the compiler may emit FMA. The LUT fills promise
+# bit-identity with the unfused scalar loops in every build.
+test-v3:
+	GOAMD64=v3 $(GO) test ./internal/simd/ ./internal/pq/
+
 race:
 	$(GO) test -race ./internal/engine/ ./internal/anna/ ./internal/adaptive/ ./internal/qos/ ./internal/cluster/... ./internal/front/ ./internal/tsdb/ ./internal/slo/ .
 
@@ -28,7 +34,7 @@ race:
 # (Two exceptions stay CI-only: lint resolves staticcheck over the
 # network, and the qemu arm64 cross-test job apt-installs its emulator.
 # ci-cross covers the same platforms' compile half offline.)
-ci: fmt-check build vet test test-noasm ci-cross ci-race cluster-integration fuzz-smoke bench-smoke
+ci: fmt-check build vet test test-noasm test-v3 ci-cross ci-race cluster-integration fuzz-smoke bench-smoke
 
 # The CI cross-compile job: build and vet every supported platform. The
 # assembly is amd64-only, so this proves the fallback dispatch and build
@@ -57,10 +63,15 @@ fmt-check:
 # instruments, trace ring, WAL, QoS layer (dynamic batcher, result
 # cache, token buckets), the shared HTTP front, HTTP serving layer
 # (incl. the shadow recall sampler and the concurrent /search + /add
-# cache-invalidation test).
+# cache-invalidation test), then the two soaks: the recall-SLO
+# controller's convergence, and the batcher's bit-exactness eight times
+# (coalesced results, ties at rank k included, must not depend on
+# worker scheduling).
 .PHONY: ci-race
 ci-race:
 	$(GO) test -race ./internal/simd/... ./internal/vecmath/... ./internal/engine/... ./internal/ivf/... ./internal/pq/... ./internal/kmeans/... ./internal/metrics/... ./internal/trace/... ./internal/wal/... ./internal/qos/... ./internal/adaptive/... ./internal/cluster/... ./internal/front/... ./internal/tsdb/... ./internal/slo/... .
+	$(GO) test -race -v -run 'TestServerRecallTargetConvergence' -count=2 .
+	$(GO) test -race -run 'TestBatchedServingBitExact' -count=8 .
 
 # The CI cluster-integration job: the multi-process fault-injection
 # harness (shard processes SIGKILLed mid-load) plus the router's
@@ -72,13 +83,14 @@ cluster-integration:
 # The CI fuzz-smoke job: hammer both durable-input decoders — the index
 # loader and the WAL reader — with coverage-guided corrupt inputs (a
 # finding there means a hostile or damaged file can crash the server),
-# then the two assembly-vs-reference differential fuzzers (a finding
+# then the three assembly-vs-reference differential fuzzers (a finding
 # there means a SIMD kernel disagrees with the pure-Go semantics).
 fuzz-smoke:
 	$(GO) test ./internal/ivf/ -run '^$$' -fuzz=FuzzLoad -fuzztime=30s
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz=FuzzLoad -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzScanADCDiff -fuzztime=30s
 	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzDotDiff -fuzztime=30s
+	$(GO) test ./internal/simd/ -run '^$$' -fuzz=FuzzFillL2Diff -fuzztime=30s
 
 # The CI bench-smoke job: small-budget benchmark runs recorded as JSON
 # (uploaded as per-PR artifacts in CI; a trajectory, not a gate). The

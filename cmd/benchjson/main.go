@@ -106,13 +106,15 @@ var suites = map[string]suite{
 	// recorded before the fused kernel landed.
 	"engine": {
 		out:   "BENCH_engine.json",
-		bench: "Search|ADC|Major",
+		bench: "Search|ADC|Major|Fill",
 		pkgs:  []string{"./internal/ivf/", "./internal/pq/", "./internal/engine/", "./internal/simd/"},
 		description: "CPU-engine scan benchmarks. 'before' is the recorded pre-optimisation baseline: " +
 			"the seed commit (per-vector Unpack+ADC+Push scan, goroutine-per-query engine) for the " +
 			"SearchW8/ADC_M64/*Major entries, and the pure-Go scalar kernels (pre-SIMD tree, same " +
-			"machine class) for the ScanADC/ADCSums entries; 'after' is this tree (fused packed-code " +
-			"scan through the AVX2 assembly kernels when the CPU supports them).",
+			"machine class) for the ScanADC/ADCSums entries, and the per-entry LUT fill (one vecmath " +
+			"call per table entry, median of 6 runs alternated with this tree on the same machine) for the " +
+			"FillL2/FillIP/EngineSearch* entries; 'after' is this tree (fused packed-code scan and " +
+			"transposed-codebook LUT fill through the AVX2 assembly kernels when the CPU supports them).",
 		baselines: map[string]*Metrics{
 			"anna/internal/ivf.BenchmarkSearchW8":        {NsPerOp: 270550, BytesPerOp: f(6672), AllocsPerOp: f(14)},
 			"anna/internal/pq.BenchmarkADC_M64":          {NsPerOp: 50.79, BytesPerOp: f(0), AllocsPerOp: f(0)},
@@ -124,6 +126,16 @@ var suites = map[string]suite{
 			"anna/internal/pq.BenchmarkScanADC8":   {NsPerOp: 43599, BytesPerOp: f(0), AllocsPerOp: f(0)},
 			"anna/internal/simd.BenchmarkADCSums4": {NsPerOp: 196059},
 			"anna/internal/simd.BenchmarkADCSums8": {NsPerOp: 26312},
+			// Per-entry LUT fill (the revision before the transposed-codebook
+			// kernels), GOMAXPROCS=1, Intel Xeon (2 vCPUs), median of 6 runs.
+			"anna/internal/pq.BenchmarkFillL2/ks16":  {NsPerOp: 4971, BytesPerOp: f(0), AllocsPerOp: f(0)},
+			"anna/internal/pq.BenchmarkFillL2/ks256": {NsPerOp: 76455, BytesPerOp: f(0), AllocsPerOp: f(0)},
+			"anna/internal/pq.BenchmarkFillIP/ks16":  {NsPerOp: 5200, BytesPerOp: f(0), AllocsPerOp: f(0)},
+			"anna/internal/pq.BenchmarkFillIP/ks256": {NsPerOp: 83689, BytesPerOp: f(0), AllocsPerOp: f(0)},
+			"anna/internal/engine.BenchmarkEngineSearchQueryMajor": {
+				NsPerOp: 39197455, BytesPerOp: f(416616), AllocsPerOp: f(11), QPS: f(6531), NsPerQuery: f(153116)},
+			"anna/internal/engine.BenchmarkEngineSearchClusterMajor": {
+				NsPerOp: 44748449, BytesPerOp: f(499400), AllocsPerOp: f(32), QPS: f(5721), NsPerQuery: f(174799)},
 		},
 	},
 	// Build/ingest pipeline: baselines are the fully serial seed path

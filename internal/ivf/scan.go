@@ -114,7 +114,7 @@ func (x *Index) ScanListADC(sel *topk.Selector, l *pq.LUT, c int, hwF16 bool) {
 		if hwF16 {
 			s = f16.Round(s)
 		}
-		if full && s <= thresh {
+		if full && s < thresh {
 			continue
 		}
 		sel.Push(id, s)

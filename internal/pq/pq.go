@@ -17,6 +17,7 @@ import (
 	"anna/internal/f16"
 	"anna/internal/kmeans"
 	"anna/internal/par"
+	"anna/internal/simd"
 	"anna/internal/vecmath"
 )
 
@@ -61,6 +62,14 @@ type Quantizer struct {
 	// before any encoding starts.
 	normsOnce sync.Once
 	norms     []float32
+
+	// transposed caches the codebooks laid out [M][Dsub][Ks] (dimension
+	// t of all Ks codewords of a sub-space contiguous), the layout the
+	// LUT fill kernels read: M·Ks·Dsub floats, as much again as the
+	// codebooks. Built lazily by transposedCodebook under the same
+	// "codebooks are final" rule as norms.
+	transposedOnce sync.Once
+	transposed     []float32
 }
 
 // codewordNorms returns the cached squared-norm table, computing it on
@@ -75,6 +84,31 @@ func (q *Quantizer) codewordNorms() []float32 {
 	})
 	return q.norms
 }
+
+// transposedCodebook returns the cached [M][Dsub][Ks] copy of the
+// codebooks, building it on first use. Safe for concurrent callers.
+func (q *Quantizer) transposedCodebook() []float32 {
+	q.transposedOnce.Do(func() {
+		t := make([]float32, q.M*q.Dsub*q.Ks)
+		for i := 0; i < q.M; i++ {
+			for j := 0; j < q.Ks; j++ {
+				for d, v := range q.Codeword(i, j) {
+					t[(i*q.Dsub+d)*q.Ks+j] = v
+				}
+			}
+		}
+		q.transposed = t
+	})
+	return q.transposed
+}
+
+// transposedFill reports whether LUT fills take the transposed-codebook
+// kernels (simd.LUTL2/LUTIP). They reproduce the sequential scalar loop
+// of vecmath.L2Sq/Dot bit for bit, which is what those compute below
+// vecmath.SIMDMinLen; from there on vecmath may take its FMA kernel,
+// whose lane reassociation the transposed kernels cannot reproduce, so
+// wider sub-spaces keep the per-entry fill.
+func (q *Quantizer) transposedFill() bool { return q.Dsub < vecmath.SIMDMinLen }
 
 // Config controls quantizer training.
 type Config struct {
@@ -221,10 +255,16 @@ func (l *LUT) At(i, j int) float32 { return l.Values[i*l.Ks+j] }
 
 // FillIP fills l with inner-product tables for query qv:
 // L_i[j] = q_i · B_i[j]. The tables are independent of the cluster, so a
-// single fill serves all selected clusters (Section II-C).
+// single fill serves all selected clusters (Section II-C). Every entry
+// equals vecmath.Dot(q_i, B_i[j]) bit for bit.
 func (q *Quantizer) FillIP(l *LUT, qv []float32) {
 	if len(qv) != q.D {
 		panic("pq: FillIP dimension mismatch")
+	}
+	l.Bias = 0
+	if q.transposedFill() {
+		simd.LUTIP(l.Values, qv, q.transposedCodebook(), q.M, q.Dsub, q.Ks)
+		return
 	}
 	for i := 0; i < q.M; i++ {
 		sv := qv[i*q.Dsub : (i+1)*q.Dsub]
@@ -232,15 +272,21 @@ func (q *Quantizer) FillIP(l *LUT, qv []float32) {
 			l.Values[i*q.Ks+j] = vecmath.Dot(sv, q.Codeword(i, j))
 		}
 	}
-	l.Bias = 0
 }
 
 // FillL2 fills l with negated squared-L2 tables for the residual query
 // rq = q - c: L_i[j] = -||rq_i - B_i[j]||². The tables depend on the
-// selected cluster and must be rebuilt per cluster (Section II-C).
+// selected cluster and must be rebuilt per cluster (Section II-C) — on
+// the CPU this fill, not the list scan, is most of an 8-bit search.
+// Every entry equals -vecmath.L2Sq(rq_i, B_i[j]) bit for bit.
 func (q *Quantizer) FillL2(l *LUT, rq []float32) {
 	if len(rq) != q.D {
 		panic("pq: FillL2 dimension mismatch")
+	}
+	l.Bias = 0
+	if q.transposedFill() {
+		simd.LUTL2(l.Values, rq, q.transposedCodebook(), q.M, q.Dsub, q.Ks)
+		return
 	}
 	for i := 0; i < q.M; i++ {
 		sv := rq[i*q.Dsub : (i+1)*q.Dsub]
@@ -248,7 +294,6 @@ func (q *Quantizer) FillL2(l *LUT, rq []float32) {
 			l.Values[i*q.Ks+j] = -vecmath.L2Sq(sv, q.Codeword(i, j))
 		}
 	}
-	l.Bias = 0
 }
 
 // RoundF16 rounds every table entry (and the bias) through half precision,

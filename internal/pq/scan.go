@@ -7,14 +7,15 @@ package pq
 // per scanned vector; the kernels below walk the packed bytes directly
 // with specialized inner loops for the two layouts ANNA supports (8-bit
 // identifiers for k*=256, packed nibbles for k*=16), 4-way unrolled, and
-// only touch the top-k selector when a score beats its current threshold.
+// only touch the top-k selector when a score reaches its current threshold.
 //
 // Accumulation order is IDENTICAL to LUT.ADC (bias first, then sub-space
 // 0..M-1, one sequential float32 add each), so the kernels are bit-exact
 // against the reference in both the float32 and the HWF16 (round final
 // sum to binary16) modes. The threshold gate only skips Push calls that
-// Push itself would reject (score <= heap minimum when full), so selector
-// contents are also bit-identical.
+// Push itself would reject (score below the worst retained score when
+// full; an equal score still reaches Push, which breaks the tie by ID),
+// so selector contents are also bit-identical.
 
 import (
 	"anna/internal/f16"
@@ -108,7 +109,7 @@ func (l *LUT) ScanADC(sel *topk.Selector, ids []int64, packed []byte, codeBytes 
 			if hwF16 {
 				s = f16.Round(s)
 			}
-			if full && s <= thresh {
+			if full && s < thresh {
 				continue
 			}
 			sel.Push(id, s)
@@ -139,7 +140,7 @@ func (l *LUT) ScanADC(sel *topk.Selector, ids []int64, packed []byte, codeBytes 
 		if hwF16 {
 			s = f16.Round(s)
 		}
-		if full && s <= thresh {
+		if full && s < thresh {
 			continue
 		}
 		sel.Push(id, s)
@@ -186,7 +187,7 @@ func (l *LUT) scanADC4SIMD(sel *topk.Selector, ids []int64, packed []byte, codeB
 			if hwF16 {
 				s = f16.Round(s)
 			}
-			if full && s <= thresh {
+			if full && s < thresh {
 				continue
 			}
 			sel.Push(ids[start+r], s)
@@ -247,7 +248,7 @@ func (l *LUT) scanADC8SIMD(sel *topk.Selector, ids []int64, packed []byte, codeB
 			if hwF16 {
 				s = f16.Round(s)
 			}
-			if full && s <= thresh {
+			if full && s < thresh {
 				continue
 			}
 			sel.Push(ids[start+r], s)

@@ -35,6 +35,10 @@ func dotKernel(a, b []float32) float32 { return dotGeneric(a, b) }
 
 func l2sqKernel(a, b []float32) float32 { return l2sqGeneric(a, b) }
 
+func lutL2(dst, q, tab []float32, m, dsub, ks int) { lutL2Generic(dst, q, tab, m, dsub, ks, 0) }
+
+func lutIP(dst, q, tab []float32, m, dsub, ks int) { lutIPGeneric(dst, q, tab, m, dsub, ks, 0) }
+
 func argminLanes(data, norms, q []float32, d, n8 int, outV *[8]float32, outI *[8]int32) {
 	argminLanesGeneric(data, norms, q, d, n8, outV, outI)
 }

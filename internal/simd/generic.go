@@ -234,6 +234,84 @@ func l2sqGeneric(a, b []float32) float32 {
 	return s
 }
 
+// LUTL2 fills the m lookup tables of dst (ks entries each, table i at
+// dst[i*ks:]) with negated squared L2 distances between the query
+// sub-vectors and the codewords of a transposed codebook:
+//
+//	dst[i*ks+j] = -Σ_{t=0}^{dsub-1} (q[i*dsub+t] - tab[(i*dsub+t)*ks+j])²
+//
+// tab is laid out [m][dsub][ks]: row t of sub-space i holds dimension t
+// of all ks codewords. Each entry starts from zero and adds d*d in
+// ascending t, one rounded float32 subtract, multiply and add per
+// dimension — bit-identical to the sequential scalar loop
+// `s += d*d; return -s` over one codeword. The assembly runs when
+// Enabled (see stubs_amd64.go); otherwise, and for the last ks%8
+// entries of every table, the Go loop does.
+func LUTL2(dst, q, tab []float32, m, dsub, ks int) {
+	checkLUT("LUTL2", dst, q, tab, m, dsub, ks)
+	lutL2(dst, q, tab, m, dsub, ks)
+}
+
+// LUTIP is LUTL2 for inner products, bit-identical to the sequential
+// loop `s += q_t*b_t` over one codeword:
+//
+//	dst[i*ks+j] = Σ_{t=0}^{dsub-1} q[i*dsub+t] * tab[(i*dsub+t)*ks+j]
+func LUTIP(dst, q, tab []float32, m, dsub, ks int) {
+	checkLUT("LUTIP", dst, q, tab, m, dsub, ks)
+	lutIP(dst, q, tab, m, dsub, ks)
+}
+
+func checkLUT(name string, dst, q, tab []float32, m, dsub, ks int) {
+	if m <= 0 || dsub <= 0 || ks <= 0 {
+		panic("simd: " + name + " shape out of range")
+	}
+	if len(dst) < m*ks || len(q) < m*dsub || len(tab) < m*dsub*ks {
+		panic("simd: " + name + " buffer too small")
+	}
+}
+
+// lutL2Generic is LUTL2 over entries lo..ks-1 of every table. The
+// accumulators live in dst, one per entry, each with the reference's
+// `s += d*d` shape over ascending dimensions.
+func lutL2Generic(dst, q, tab []float32, m, dsub, ks, lo int) {
+	if lo >= ks {
+		return
+	}
+	for i := 0; i < m; i++ {
+		out := dst[i*ks+lo : i*ks+ks]
+		clear(out)
+		for t, x := range q[i*dsub : i*dsub+dsub] {
+			row := tab[(i*dsub+t)*ks+lo : (i*dsub+t+1)*ks]
+			row = row[:len(out)]
+			for j, b := range row {
+				d := x - b
+				out[j] += d * d
+			}
+		}
+		for j, v := range out {
+			out[j] = -v
+		}
+	}
+}
+
+// lutIPGeneric is LUTIP over entries lo..ks-1 of every table.
+func lutIPGeneric(dst, q, tab []float32, m, dsub, ks, lo int) {
+	if lo >= ks {
+		return
+	}
+	for i := 0; i < m; i++ {
+		out := dst[i*ks+lo : i*ks+ks]
+		clear(out)
+		for t, x := range q[i*dsub : i*dsub+dsub] {
+			row := tab[(i*dsub+t)*ks+lo : (i*dsub+t+1)*ks]
+			row = row[:len(out)]
+			for j, b := range row {
+				out[j] += x * b
+			}
+		}
+	}
+}
+
 // lanePerm maps SIMD lane l to the row offset it owns within each
 // 8-row block of the argmin kernels. The horizontal-add trees of the
 // different dimensions emit rows in different lane orders; the table is

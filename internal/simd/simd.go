@@ -1,7 +1,8 @@
-// Package simd holds the hand-written assembly kernels behind ANNA's two
-// hot loops — the ADC list scan on the serving path and the dot/argmin
-// primitives on the build path — together with the runtime CPU-feature
-// dispatch that decides, once at init, whether they may run at all.
+// Package simd holds the hand-written assembly kernels behind ANNA's hot
+// loops — the lookup-table fill and the ADC list scan on the serving
+// path, the dot/argmin primitives on the build path — together with the
+// runtime CPU-feature dispatch that decides, once at init, whether they
+// may run at all.
 //
 // Design rules (see docs/ARCHITECTURE.md §"SIMD kernels"):
 //
@@ -11,11 +12,20 @@
 //     an implementation detail that must never change results beyond the
 //     documented tolerance class of the kernel.
 //
-//   - Bit-exact kernels (the ADC scan sums and the small-dimension argmin
-//     kernels) vectorize ACROSS vectors: each SIMD lane owns one vector
-//     and performs its float32 additions in exactly the scalar order, so
-//     the result is bit-identical to the reference for every input. No
-//     FMA, no reassociation.
+//   - Bit-exact kernels (the ADC scan sums, the LUT fills and the
+//     small-dimension argmin kernels) vectorize ACROSS vectors: each SIMD
+//     lane owns one vector or table entry and performs its float32
+//     operations in exactly the scalar order, so the result is
+//     bit-identical to the reference for every input. No FMA, no
+//     reassociation.
+//
+//   - The LUT fills (LUTL2, LUTIP) read a transposed codebook,
+//     [m][dsub][ks], so one load brings dimension t of eight codewords.
+//     Each entry equals the sequential `s += d*d` (or `s += x*b`) loop
+//     over one codeword — what vecmath.L2Sq/Dot compute below
+//     vecmath.SIMDMinLen; callers with wider sub-spaces, where vecmath
+//     uses its FMA kernel, keep the per-entry fill. Because both paths
+//     give the same bits, these two kernels check Enabled themselves.
 //
 //   - Tolerance kernels (Dot, L2Sq) use FMA and an 8-lane split
 //     accumulator, which reassociates the reduction. They are NOT

@@ -366,6 +366,131 @@ func TestSetEnabledRoundTrip(t *testing.T) {
 	}
 }
 
+// --- LUT fill over a transposed codebook ---
+
+// lutRef computes one table entry the way vecmath's sequential scalar
+// loops do over one codeword: d := x - b; s += d*d (L2, negated) or
+// s += x*b (IP).
+func lutRef(q, tab []float32, i, j, dsub, ks int, ip bool) float32 {
+	var s float32
+	for t := 0; t < dsub; t++ {
+		x, b := q[i*dsub+t], tab[(i*dsub+t)*ks+j]
+		if ip {
+			s += x * b
+		} else {
+			d := x - b
+			s += d * d
+		}
+	}
+	if ip {
+		return s
+	}
+	return -s
+}
+
+// randLUTInput draws a query and a transposed codebook whose values
+// spread over 10^-scaleExp..10^scaleExp, with some codeword dimensions
+// copied from the query so exact zeros (and the -0 of a zero L2
+// distance) occur.
+func randLUTInput(rng *rand.Rand, m, dsub, ks, scaleExp int) (q, tab []float32) {
+	draw := func() float32 {
+		mag := math.Pow(10, float64(rng.Intn(2*scaleExp+1)-scaleExp))
+		return float32((rng.Float64()*2 - 1) * mag)
+	}
+	q = make([]float32, m*dsub)
+	for i := range q {
+		q[i] = draw()
+	}
+	tab = make([]float32, m*dsub*ks)
+	for i := range tab {
+		tab[i] = draw()
+	}
+	for i := 0; i < m; i++ {
+		j := rng.Intn(ks)
+		for t := 0; t < dsub; t++ {
+			tab[(i*dsub+t)*ks+j] = q[i*dsub+t]
+		}
+	}
+	return q, tab
+}
+
+// checkLUTFill compares LUTL2/LUTIP in the current dispatch mode and the Go
+// loop against the per-entry reference, bit for bit.
+func checkLUTFill(t *testing.T, q, tab []float32, m, dsub, ks int) {
+	t.Helper()
+	for _, ip := range []bool{false, true} {
+		got := make([]float32, m*ks)
+		gen := make([]float32, m*ks)
+		if ip {
+			LUTIP(got, q, tab, m, dsub, ks)
+			lutIPGeneric(gen, q, tab, m, dsub, ks, 0)
+		} else {
+			LUTL2(got, q, tab, m, dsub, ks)
+			lutL2Generic(gen, q, tab, m, dsub, ks, 0)
+		}
+		for i := 0; i < m; i++ {
+			for j := 0; j < ks; j++ {
+				want := lutRef(q, tab, i, j, dsub, ks, ip)
+				k := i*ks + j
+				if math.Float32bits(got[k]) != math.Float32bits(want) ||
+					math.Float32bits(gen[k]) != math.Float32bits(want) {
+					t.Fatalf("ip=%v m=%d dsub=%d ks=%d entry (%d,%d): kernel %v (%#x), generic %v, ref %v (%#x)",
+						ip, m, dsub, ks, i, j, got[k], math.Float32bits(got[k]), gen[k], want, math.Float32bits(want))
+				}
+			}
+		}
+	}
+}
+
+func TestLUTFillDiff(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, enabled := range []bool{true, false} {
+		prev := SetEnabled(enabled)
+		for _, dsub := range []int{1, 2, 3, 4, 8, 15, 16, 32} {
+			for _, ks := range []int{4, 8, 16, 20, 40, 256} {
+				for _, m := range []int{1, 3} {
+					q, tab := randLUTInput(rng, m, dsub, ks, 3)
+					checkLUTFill(t, q, tab, m, dsub, ks)
+				}
+			}
+		}
+		SetEnabled(prev)
+	}
+}
+
+// TestLUTFillNegZero pins the sign of a zero distance: the reference
+// negates +0 into -0, and so must the kernel's sign flip.
+func TestLUTFillNegZero(t *testing.T) {
+	const m, dsub, ks = 2, 4, 16
+	q := make([]float32, m*dsub)
+	tab := make([]float32, m*dsub*ks)
+	dst := make([]float32, m*ks)
+	LUTL2(dst, q, tab, m, dsub, ks)
+	for k, v := range dst {
+		if math.Float32bits(v) != 0x80000000 {
+			t.Fatalf("entry %d = %v (%#x), want -0", k, v, math.Float32bits(v))
+		}
+	}
+}
+
+func TestLUTFillPanics(t *testing.T) {
+	buf := make([]float32, 64)
+	for name, f := range map[string]func(){
+		"dsub0":    func() { LUTL2(buf, buf, buf, 1, 0, 8) },
+		"shortTab": func() { LUTL2(buf, buf, buf[:63], 2, 4, 8) },
+		"shortDst": func() { LUTIP(buf[:15], buf, buf, 2, 4, 8) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}
+
 // --- fuzzers (also run with -fuzz in CI's differential fuzz job) ---
 
 func FuzzScanADCDiff(f *testing.F) {
@@ -451,6 +576,23 @@ func FuzzDotDiff(f *testing.F) {
 		if gi != wi || math.Float32bits(gv) != math.Float32bits(wv) {
 			t.Fatalf("argmin d=%d rows=%d: asm (%d, %v) != scalar (%d, %v)", d, rows, gi, gv, wi, wv)
 		}
+	})
+}
+
+// FuzzFillL2Diff runs the LUT fill kernels (assembly where available)
+// against the Go loop on fuzzed shapes and magnitudes; both must equal
+// the per-entry reference bit for bit.
+func FuzzFillL2Diff(f *testing.F) {
+	f.Add(uint8(4), uint8(3), uint16(256), uint8(3), int64(1))
+	f.Add(uint8(1), uint8(15), uint16(20), uint8(6), int64(7))
+	f.Fuzz(func(t *testing.T, mRaw, dRaw uint8, ksRaw uint16, expRaw uint8, seed int64) {
+		m := int(mRaw)%8 + 1
+		dsub := int(dRaw)%32 + 1
+		ks := int(ksRaw)%256 + 1
+		exp := int(expRaw) % 16
+		rng := rand.New(rand.NewSource(seed))
+		q, tab := randLUTInput(rng, m, dsub, ks, exp)
+		checkLUTFill(t, q, tab, m, dsub, ks)
 	})
 }
 

@@ -19,6 +19,12 @@ func adcSums4Asm(planes *byte, packed *byte, codeBytes, groups int, sums *float3
 func adcSums8Asm(vals *float32, packed *byte, codeBytes, m8 int, sums *float32, n8 int, bias float32)
 
 //go:noescape
+func lutL2Asm(dst, q, tab *float32, m, dsub, ks, n8 int)
+
+//go:noescape
+func lutIPAsm(dst, q, tab *float32, m, dsub, ks, n8 int)
+
+//go:noescape
 func argminD2Asm(data, norms *float32, n8 int, q *float32, outV *[8]float32, outI *[8]int32)
 
 //go:noescape
@@ -59,6 +65,30 @@ func adcSums8(vals []float32, bias float32, packed []byte, codeBytes, m8 int, su
 		return
 	}
 	adcSums8Generic(vals, bias, packed, codeBytes, m8, sums)
+}
+
+// The LUT fills dispatch on Enabled, not on `available`: their assembly
+// is bit-identical to the Go loop, so the policy switch only picks the
+// faster of two equal answers and callers need no gate of their own.
+// The assembly covers the first ks&^7 entries of every table, the Go
+// loop the rest.
+
+func lutL2(dst, q, tab []float32, m, dsub, ks int) {
+	n8 := 0
+	if enabled && ks >= 8 {
+		n8 = ks &^ 7
+		lutL2Asm(&dst[0], &q[0], &tab[0], m, dsub, ks, n8)
+	}
+	lutL2Generic(dst, q, tab, m, dsub, ks, n8)
+}
+
+func lutIP(dst, q, tab []float32, m, dsub, ks int) {
+	n8 := 0
+	if enabled && ks >= 8 {
+		n8 = ks &^ 7
+		lutIPAsm(&dst[0], &q[0], &tab[0], m, dsub, ks, n8)
+	}
+	lutIPGeneric(dst, q, tab, m, dsub, ks, n8)
 }
 
 func argminLanes(data, norms, q []float32, d, n8 int, outV *[8]float32, outI *[8]int32) {

@@ -20,11 +20,16 @@ type Result struct {
 	Score float32
 }
 
-// Selector keeps the k results with the largest scores using a bounded
-// min-heap rooted at the current worst retained score.
+// Selector keeps the k results that rank first in the total order
+// "larger score, then smaller ID" (the order ResultsAppend sorts by),
+// using a bounded heap rooted at the worst retained result. Because the
+// order is total, the retained set does not depend on the order of the
+// pushes: a tie at rank k goes to the smaller ID however the candidates
+// arrive, so a search that offers its lists in scheduling order is still
+// deterministic.
 type Selector struct {
 	k    int
-	heap []Result // min-heap on Score
+	heap []Result // worst (per before) at the root
 }
 
 // NewSelector returns a Selector retaining the top k scores. k must be > 0.
@@ -41,9 +46,11 @@ func (s *Selector) K() int { return s.k }
 // Len returns the number of results currently retained.
 func (s *Selector) Len() int { return len(s.heap) }
 
-// Threshold returns the smallest retained score, or -Inf semantics via
+// Threshold returns the worst retained score, or -Inf semantics via
 // ok=false while fewer than k results have been pushed. A candidate with
-// Score <= Threshold (when full) cannot enter the selector.
+// Score < Threshold (when full) cannot enter the selector; one with an
+// equal score enters only if its ID is smaller than the worst retained
+// ID at that score, which Push decides.
 func (s *Selector) Threshold() (score float32, ok bool) {
 	if len(s.heap) < s.k {
 		return 0, false
@@ -58,7 +65,7 @@ func (s *Selector) Push(id int64, score float32) bool {
 		s.up(len(s.heap) - 1)
 		return true
 	}
-	if score <= s.heap[0].Score {
+	if !before(Result{id, score}, s.heap[0]) {
 		return false
 	}
 	s.heap[0] = Result{id, score}
@@ -69,7 +76,7 @@ func (s *Selector) Push(id int64, score float32) bool {
 func (s *Selector) up(i int) {
 	for i > 0 {
 		p := (i - 1) / 2
-		if s.heap[p].Score <= s.heap[i].Score {
+		if !before(s.heap[p], s.heap[i]) {
 			break
 		}
 		s.heap[p], s.heap[i] = s.heap[i], s.heap[p]
@@ -82,10 +89,10 @@ func (s *Selector) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		m := i
-		if l < n && s.heap[l].Score < s.heap[m].Score {
+		if l < n && before(s.heap[m], s.heap[l]) {
 			m = l
 		}
-		if r < n && s.heap[r].Score < s.heap[m].Score {
+		if r < n && before(s.heap[m], s.heap[r]) {
 			m = r
 		}
 		if m == i {
@@ -184,6 +191,8 @@ func before(a, b Result) bool {
 // Merge returns the top-k of the concatenation of several result lists.
 // This is the reduction used when intra-query parallelism spreads one
 // query across multiple SCMs and their per-SCM top-k lists are combined.
+// The result does not depend on the order of the lists or of their
+// entries (see Selector).
 func Merge(k int, lists ...[]Result) []Result {
 	s := NewSelector(k)
 	for _, l := range lists {

@@ -145,6 +145,68 @@ func TestMergeEqualsGlobalTopK(t *testing.T) {
 	}
 }
 
+// Property: with many equal scores, the selected set and its order do
+// not depend on the push order, and per-list selection followed by Merge
+// — over any split of any permutation — equals the global top-k in the
+// "score descending, ID ascending" order. This is what keeps a search
+// deterministic when worker scheduling decides which list (or which
+// shard) reaches the selector first.
+func TestTopKPermutationInvariant(t *testing.T) {
+	f := func(levels []uint8, kRaw, partsRaw uint8, seed int64) bool {
+		if len(levels) == 0 {
+			return true
+		}
+		rng := rand.New(rand.NewSource(seed))
+		k := int(kRaw)%len(levels) + 1
+		all := make([]Result, len(levels))
+		for i, lv := range levels {
+			all[i] = Result{int64(i), float32(lv % 4)} // 4 score levels: ties everywhere
+		}
+		want := append([]Result(nil), all...)
+		SortDesc(want)
+		want = want[:k]
+		same := func(got []Result) bool {
+			if len(got) != k {
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			return true
+		}
+		for trial := 0; trial < 4; trial++ {
+			perm := rng.Perm(len(all))
+			s := NewSelector(k)
+			for _, i := range perm {
+				s.Push(all[i].ID, all[i].Score)
+			}
+			if !same(s.Results()) {
+				return false
+			}
+			parts := int(partsRaw)%4 + 1
+			lists := make([][]Result, parts)
+			for _, i := range perm {
+				p := rng.Intn(parts)
+				lists[p] = append(lists[p], all[i])
+			}
+			for p := range lists { // pre-reduce half the lists, as shards do
+				if p%2 == 1 {
+					lists[p] = Merge(k, lists[p])
+				}
+			}
+			if !same(Merge(k, lists...)) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestSelectorReset(t *testing.T) {
 	s := NewSelector(2)
 	s.Push(1, 1)

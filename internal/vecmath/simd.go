@@ -27,11 +27,13 @@ import "anna/internal/simd"
 // a given shape takes the same path, preserving the determinism
 // guarantees the batch encoder documents.
 
-// simdMinLen is the vector length at which the AVX2 reduction kernels
+// SIMDMinLen is the vector length at which the AVX2 reduction kernels
 // overtake the scalar loops (call overhead plus one stride of warm-up).
-const simdMinLen = 16
+// Shorter vectors always run the sequential scalar loop, in every
+// dispatch mode; pq's transposed LUT fill relies on that bit-identity.
+const SIMDMinLen = 16
 
-func useSIMD(n int) bool { return n >= simdMinLen && simd.Enabled() }
+func useSIMD(n int) bool { return n >= SIMDMinLen && simd.Enabled() }
 
 // useSIMDArgmin reports whether the dim-d argmin over n rows should use
 // the bit-exact assembly kernel (needs at least one full 8-row block).

@@ -15,7 +15,7 @@ import (
 )
 
 // Dot returns the inner product of a and b. It panics if the lengths
-// differ. With SIMD enabled, vectors of at least simdMinLen elements use
+// differ. With SIMD enabled, vectors of at least SIMDMinLen elements use
 // the FMA kernel, whose result can differ from the scalar loop in the
 // last bits (see internal/simd for the tested error bound).
 func Dot(a, b []float32) float32 {
